@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.graph import bfs_levels, front_statistics, FrontStats
+from repro.sparse.graph import components_by_min_node, front_statistics, FrontStats
 from repro.sparse.bandwidth import bandwidth, bandwidth_after
 from repro.matrices.suite import TESTSET, SuiteEntry, get_matrix
 from repro.core.serial import cuthill_mckee, serial_cycles
@@ -95,21 +95,10 @@ def pick_start(mat: CSRMatrix) -> Tuple[int, int]:
     Returns ``(start, component_size)``.  Table I times the *core* RCM only,
     so the start node is fixed deterministically per matrix.
     """
-    n = mat.n
     valence = np.diff(mat.indptr)
-    seen = np.zeros(n, dtype=bool)
-    best_members: Optional[np.ndarray] = None
-    for seed in range(n):
-        if seen[seed]:
-            continue
-        levels = bfs_levels(mat, seed)
-        members = np.flatnonzero(levels >= 0)
-        seen[members] = True
-        if best_members is None or members.size > best_members.size:
-            best_members = members
-    assert best_members is not None
-    start = int(best_members[np.argmin(valence[best_members])])
-    return start, int(best_members.size)
+    # the first largest component: ties go to the smallest member
+    best = max(components_by_min_node(mat), key=len)
+    return int(best[np.argmin(valence[best])]), int(best.size)
 
 
 _CACHE: Dict[Tuple[str, Tuple[int, ...]], MatrixBench] = {}

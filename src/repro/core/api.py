@@ -24,21 +24,21 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro import backends
 from repro.backends import resolve_auto_method  # noqa: F401  (re-export)
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.graph import bfs_levels
+from repro.sparse.graph import components_by_min_node
 from repro.sparse.bandwidth import (
-    bandwidth,
     bandwidth_after,
     envelope_after,
     envelope_size,
 )
 from repro.sparse.validate import (
+    check_arrays,
     check_batch,
     is_structurally_symmetric,
     validate_csr,
@@ -138,19 +138,8 @@ class ReorderResult:
         )
 
 
-def _components_by_min_node(mat: CSRMatrix) -> List[np.ndarray]:
-    """Connected components as node arrays, ordered by smallest member."""
-    n = mat.n
-    seen = np.zeros(n, dtype=bool)
-    comps: List[np.ndarray] = []
-    for seed in range(n):
-        if seen[seed]:
-            continue
-        levels = bfs_levels(mat, seed)
-        members = np.flatnonzero(levels >= 0)
-        seen[members] = True
-        comps.append(members.astype(np.int64))
-    return comps
+#: components of a validated (symmetric) pattern, by smallest member
+_components_by_min_node = components_by_min_node
 
 
 def _pick_start(
@@ -169,32 +158,22 @@ def _pick_start(
     raise AssertionError(start)  # pragma: no cover - validated upstream
 
 
-def _prevalidate_batch(mats: List[CSRMatrix]) -> np.ndarray:
-    """Run the validate phase for a whole batch in one vectorized pass.
-
-    The batch counterpart of the validate phase in :func:`_reorder_rcm`:
-    one :func:`repro.sparse.validate.check_batch` pass over the
-    block-diagonal union replaces ``len(mats)`` per-matrix passes, and
-    yields each matrix's initial bandwidth for free.  Callers hand those
-    down as ``_initial_bw`` so the per-matrix pipeline skips the checks.
-    Matrices must already be symmetrized.  When the vectorized pass finds
-    the batch invalid, the per-matrix checks rerun so the error raised is
-    the exact one the single-matrix path raises.
-    """
-    bws = check_batch(mats)
-    if bws is not None:
-        return bws
-    for m in mats:
-        validate_csr(m, require_sorted=True)
-        if not is_structurally_symmetric(m):
-            raise ValueError(
+def _validated(mat: CSRMatrix, symmetrize: bool) -> Tuple[CSRMatrix, int]:
+    """The validate phase: the pattern to reorder and its initial bandwidth
+    from one :func:`check_batch` pass over a batch of one; only when it
+    fails do the precise checks run, to raise the exact error."""
+    if symmetrize:
+        check_arrays(mat)
+        mat = mat.symmetrize()
+    bws = check_batch([mat])
+    if bws is None:
+        validate_csr(mat, require_sorted=True)
+        if not is_structurally_symmetric(mat):
+            raise ValidationError(
                 "matrix pattern is not symmetric; pass symmetrize=True or call "
                 "CSRMatrix.symmetrize() first"
             )
-    # the vectorized pass was conservative; fall back to per-matrix metrics
-    return np.fromiter(
-        (bandwidth(m) for m in mats), dtype=np.int64, count=len(mats)
-    )
+    return mat, int(bws[0])
 
 
 def _reorder_rcm(
@@ -207,16 +186,12 @@ def _reorder_rcm(
     symmetrize: bool = False,
     seed: int = 0,
     transform: Optional[str] = None,
-    _initial_bw: Optional[int] = None,
 ) -> "ReorderResult":
     """RCM pipeline implementation (no deprecation warning; see
     :func:`repro.reorder` for the public facade and parameter docs).
 
     ``n_workers`` is validated at the facade boundary
-    (:func:`repro.facade.reorder`); this layer trusts it.  ``_initial_bw``
-    is the batch path's private contract: a bandwidth precomputed by
-    :func:`_prevalidate_batch` certifies the matrix already passed the
-    validate phase (symmetrize included), so both are skipped here.
+    (:func:`repro.facade.reorder`); this layer trusts it.
     """
     check_choice("method", method, backends.method_choices())
     check_start(start, mat.n)
@@ -231,18 +206,10 @@ def _reorder_rcm(
     tel = telemetry.get()
     phase_ns: Dict[str, int] = {p: 0 for p in PHASES}
 
-    if _initial_bw is None:
-        t_phase = time.perf_counter_ns()
-        with tel.span("validate", category="api", n=mat.n, nnz=mat.nnz):
-            if symmetrize:
-                mat = mat.symmetrize()
-            validate_csr(mat, require_sorted=True)
-            if not is_structurally_symmetric(mat):
-                raise ValueError(
-                    "matrix pattern is not symmetric; pass symmetrize=True "
-                    "or call CSRMatrix.symmetrize() first"
-                )
-        phase_ns["validate"] = time.perf_counter_ns() - t_phase
+    t_phase = time.perf_counter_ns()
+    with tel.span("validate", category="api", n=mat.n, nnz=mat.nnz):
+        mat, init_bw = _validated(mat, symmetrize)
+    phase_ns["validate"] = time.perf_counter_ns() - t_phase
 
     # transform phase: resolve the power-law pass and, when it applies,
     # reorder the hub-first *relabeled* pattern instead — the relabeling
@@ -271,7 +238,7 @@ def _reorder_rcm(
     phase_ns["components"] = time.perf_counter_ns() - t_phase
     if isinstance(start, (int, np.integer)):
         if len(comps) != 1:
-            raise ValueError(
+            raise ValidationError(
                 "explicit start node requires a connected matrix; "
                 f"found {len(comps)} components"
             )
@@ -356,7 +323,6 @@ def _reorder_rcm(
             # compose the hub-first relabeling back: the permutation the
             # caller receives indexes the original matrix
             perm = plan.relabel[perm]
-        init_bw = bandwidth(mat) if _initial_bw is None else int(_initial_bw)
         reord_bw = bandwidth_after(mat, perm)
         if tel.enabled:
             # per-request quality deltas: how much this request actually

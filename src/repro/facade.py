@@ -57,18 +57,18 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.bandwidth import bandwidth, bandwidth_after
-from repro.sparse.validate import validate_csr, is_structurally_symmetric
+from repro.sparse.bandwidth import bandwidth_after
+from repro.sparse.validate import check_arrays
 from repro import backends
-from repro.core.api import METHODS, PHASES, ReorderResult, _reorder_rcm
+from repro.core.api import METHODS, PHASES, ReorderResult, _reorder_rcm, _validated
 from repro.core.batches import BatchConfig
 from repro.errors import ValidationError
-from repro.validation import check_choice, check_min, check_start, choices_text
+from repro.validation import as_csr, check_choice, check_min, check_start, choices_text
 from repro import telemetry
 from repro.telemetry import context as tctx
 
@@ -157,8 +157,10 @@ def reorder(
     Parameters
     ----------
     mat:
-        square :class:`CSRMatrix`; must be structurally symmetric unless
-        ``symmetrize`` is set (then ``A | A^T`` is reordered).
+        square :class:`CSRMatrix` or scipy sparse matrix (converted with
+        :meth:`CSRMatrix.from_scipy`); must be structurally symmetric
+        unless ``symmetrize`` is set (then ``A | A^T`` is reordered).
+        Anything else raises :class:`~repro.errors.ValidationError`.
     algorithm:
         one of :data:`ALGORITHMS`.  ``"rcm"`` runs the paper's pipeline
         (components, start selection, any execution method); the classical
@@ -222,6 +224,7 @@ def reorder(
         permutation, bandwidth before/after, wall-clock phase timings and
         (for simulated methods) per-component run statistics.
     """
+    mat = as_csr(mat)
     check_choice("algorithm", algorithm, ALGORITHMS)
     check_min("n_workers", n_workers, 1)
     cache = _resolve_cache(cache, shards)
@@ -316,7 +319,11 @@ def reorder_many(
     if algorithm == "rcm":
         check_choice("method", method, backends.method_choices())
     cache = _resolve_cache(cache, shards)
-    mats = list(mats)
+    if not isinstance(mats, Iterable):
+        raise ValidationError(
+            f"mats must be an iterable; got {type(mats).__qualname__}"
+        )
+    mats = [as_csr(m) for m in mats]
     results: List[Optional[ReorderResult]] = [None] * len(mats)
     if not mats:
         return []
@@ -370,6 +377,10 @@ def _compute_many(
     two surfaces cannot drift apart."""
     from repro.parallel import ParallelConfig, map_matrices
 
+    # the pool path validates in its workers, where an array fault would
+    # surface as a plain ValueError: check every matrix before dispatch
+    for m in mats:
+        check_arrays(m)
     one_by_one = (
         algorithm != "rcm" or config is not None or seed != 0
         or transform is not None
@@ -430,14 +441,7 @@ def _reorder_direct(
 
     t_phase = time.perf_counter_ns()
     with tel.span("validate", category="api", n=mat.n, nnz=mat.nnz):
-        if symmetrize:
-            mat = mat.symmetrize()
-        validate_csr(mat, require_sorted=True)
-        if not is_structurally_symmetric(mat):
-            raise ValueError(
-                "matrix pattern is not symmetric; pass symmetrize=True or "
-                "call CSRMatrix.symmetrize() first"
-            )
+        mat, init_bw = _validated(mat, symmetrize)
     phase_ns["validate"] = time.perf_counter_ns() - t_phase
 
     t_phase = time.perf_counter_ns()
@@ -447,7 +451,6 @@ def _reorder_direct(
 
     t_phase = time.perf_counter_ns()
     with tel.span("assembly", category="api"):
-        init_bw = bandwidth(mat)
         reord_bw = bandwidth_after(mat, perm)
     phase_ns["assembly"] = time.perf_counter_ns() - t_phase
 

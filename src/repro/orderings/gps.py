@@ -23,7 +23,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.graph import bfs_levels
+from repro.sparse.graph import bfs_levels, components_by_min_node
 
 __all__ = ["gibbs_poole_stockmeyer", "gps_component", "gps_endpoints"]
 
@@ -195,14 +195,7 @@ def gps_component(mat: CSRMatrix, members: np.ndarray) -> np.ndarray:
 
 def gibbs_poole_stockmeyer(mat: CSRMatrix) -> np.ndarray:
     """GPS ordering (reversed, RCM-style) of the whole matrix."""
-    n = mat.n
-    seen = np.zeros(n, dtype=bool)
     parts: List[np.ndarray] = []
-    for seed in range(n):
-        if seen[seed]:
-            continue
-        members = np.flatnonzero(bfs_levels(mat, seed) >= 0)
-        seen[members] = True
-        part = gps_component(mat, members)
-        parts.append(part[::-1])
+    for members in components_by_min_node(mat):
+        parts.append(gps_component(mat, members)[::-1])
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)

@@ -19,7 +19,7 @@ from typing import List
 import numpy as np
 
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.graph import bfs_levels
+from repro.sparse.graph import components_by_min_node
 
 __all__ = ["king", "king_component"]
 
@@ -81,15 +81,9 @@ def king_component(mat: CSRMatrix, start: int) -> np.ndarray:
 def king(mat: CSRMatrix) -> np.ndarray:
     """Reverse King ordering of the whole matrix (component by component;
     start = minimum-valence member, the classical choice)."""
-    n = mat.n
-    seen = np.zeros(n, dtype=bool)
     valence = np.diff(mat.indptr)
     parts: List[np.ndarray] = []
-    for seed in range(n):
-        if seen[seed]:
-            continue
-        members = np.flatnonzero(bfs_levels(mat, seed) >= 0)
-        seen[members] = True
+    for members in components_by_min_node(mat):
         start = int(members[np.argmin(valence[members])])
         parts.append(king_component(mat, start)[::-1])
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)

@@ -25,7 +25,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.graph import bfs_levels
+from repro.sparse.graph import bfs_levels, components_by_min_node
 from repro.core.peripheral import find_pseudo_peripheral
 
 __all__ = ["sloan", "sloan_component", "pseudo_diameter"]
@@ -129,14 +129,8 @@ def sloan(mat: CSRMatrix, *, w1: int = 2, w2: int = 1) -> np.ndarray:
     Components are ordered by smallest member (the library convention);
     within each, a pseudo-diameter picks the start/end pair.
     """
-    n = mat.n
-    seen = np.zeros(n, dtype=bool)
     parts: List[np.ndarray] = []
-    for seed in range(n):
-        if seen[seed]:
-            continue
-        members = np.flatnonzero(bfs_levels(mat, seed) >= 0)
-        seen[members] = True
+    for members in components_by_min_node(mat):
         s, e = pseudo_diameter(mat, members)
         parts.append(sloan_component(mat, s, e, w1=w1, w2=w2))
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)

@@ -17,7 +17,7 @@ from typing import List
 import numpy as np
 
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.graph import bfs_levels
+from repro.sparse.graph import components_by_min_node
 
 __all__ = ["spectral_ordering", "fiedler_vector"]
 
@@ -62,15 +62,9 @@ def spectral_ordering(mat: CSRMatrix, *, seed: int = 0) -> np.ndarray:
     the sign is fixed so the minimum-valence endpoint comes first — making
     the ordering deterministic).
     """
-    n = mat.n
-    seen = np.zeros(n, dtype=bool)
     parts: List[np.ndarray] = []
     valence = np.diff(mat.indptr)
-    for s in range(n):
-        if seen[s]:
-            continue
-        members = np.flatnonzero(bfs_levels(mat, s) >= 0).astype(np.int64)
-        seen[members] = True
+    for members in components_by_min_node(mat):
         f = fiedler_vector(mat, members, seed=seed)
         # deterministic sign: lower-valence end first
         asc = members[np.lexsort((members, f))]

@@ -549,7 +549,7 @@ def map_matrices(
     the arena.  Otherwise each chunk's CSR triples are pickled (legacy
     path).  Both paths run on the persistent warmed pool.
     """
-    from repro.core.api import _prevalidate_batch, _reorder_rcm
+    from repro.core.api import _reorder_rcm
 
     cfg = config or ParallelConfig()
     workers = resolve_workers(cfg.n_workers)
@@ -558,16 +558,6 @@ def map_matrices(
 
     def in_process(reason: str) -> list:
         record_fallback(reason)
-        if len(mats) > 1:
-            # batch-amortized validate phase: one vectorized pass over the
-            # block-diagonal union replaces len(mats) per-matrix passes
-            ms = [m.symmetrize() for m in mats] if symmetrize else list(mats)
-            bws = _prevalidate_batch(ms)
-            kw = dict(kwargs, symmetrize=False)
-            return [
-                _reorder_rcm(m, _initial_bw=int(b), **kw)
-                for m, b in zip(ms, bws)
-            ]
         return [_reorder_rcm(m, **kwargs) for m in mats]
 
     if not mats:

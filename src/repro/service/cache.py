@@ -194,12 +194,19 @@ class PermutationCache:
     # ------------------------------------------------------------------
     def get(self, key: CacheKey) -> Optional[ReorderResult]:
         """The cached result for ``key``, or ``None`` on a miss."""
+        return self._lookup(key, count=True)
+
+    def peek(self, key: CacheKey) -> Optional[ReorderResult]:
+        """:meth:`get` over both tiers, counting neither hit nor miss: the
+        re-check of a key whose lookup was already counted."""
+        return self._lookup(key, count=False)
+
+    def _lookup(self, key: CacheKey, *, count: bool) -> Optional[ReorderResult]:
         with self._lock:
             entry = self._entries.get(key.digest)
             if entry is not None:
                 self._entries.move_to_end(key.digest)
-                self.stats.hits += 1
-                self._tel_count("service.cache.hits")
+                self._tally(count, "hits")
                 return _result_from_entry(entry)
         # slow tier outside the lock: the read is idempotent
         entry = self._disk_read(key.digest)
@@ -209,19 +216,21 @@ class PermutationCache:
             promoted = entry is not None
         if entry is not None:
             with self._lock:
-                self.stats.hits += 1
-                self.stats.disk_hits += 1
                 self._install(key.digest, entry)
-                self._tel_count("service.cache.hits")
-                self._tel_count("service.cache.disk_hits")
+                self._tally(count, "hits", "disk_hits")
             if promoted:
                 # adopt the resharded entry: one write, into our own tier
                 self._disk_write(key.digest, entry)
             return _result_from_entry(entry)
         with self._lock:
-            self.stats.misses += 1
-            self._tel_count("service.cache.misses")
+            self._tally(count, "misses")
         return None
+
+    def _tally(self, count: bool, *names: str) -> None:
+        """Count ``names`` in stats and telemetry (lock held) if ``count``."""
+        for name in names if count else ():
+            setattr(self.stats, name, getattr(self.stats, name) + 1)
+            self._tel_count(f"service.cache.{name}")
 
     def put(self, key: CacheKey, result: ReorderResult) -> None:
         """Insert (or refresh) the entry for ``key``."""

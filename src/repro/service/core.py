@@ -75,6 +75,7 @@ from repro.errors import (
 from repro.sparse.csr import CSRMatrix
 from repro.core.api import ReorderResult
 from repro.service.keys import CacheKey, cache_key
+from repro.validation import as_csr
 from repro.service.cache import PermutationCache
 from repro.parallel.executor import record_fallback
 from repro import telemetry
@@ -305,6 +306,7 @@ class Shard:
         """
         if self._closed:
             raise ServiceError("service is closed")
+        mat = as_csr(mat)
         if _key is not None:
             key = _key
         else:
@@ -318,12 +320,13 @@ class Shard:
         t_lookup = time.perf_counter_ns()
         hit = self.cache.get(key)
         if hit is not None:
+            # warm-hit latency: the cache lookup *is* the request
+            hit.phase_ns = {"cache": time.perf_counter_ns() - t_lookup}
             tel = telemetry.get()
             if tel.enabled:
-                # warm-hit latency: the cache lookup *is* the request
                 tel.histogram(
                     "service.hit_latency_ms", buckets=_HIT_LATENCY_BUCKETS
-                ).observe((time.perf_counter_ns() - t_lookup) / 1e6)
+                ).observe(hit.phase_ns["cache"] / 1e6)
             fut: "Future[ReorderResult]" = Future()
             fut.set_result(hit)
             return fut
@@ -356,9 +359,12 @@ class Shard:
                 return existing
             # the twin may instead have finished entirely between our cache
             # miss and here (put -> resolve -> settle); without this
-            # re-check we would recompute a key that is already cached
-            hit = self.cache.get(key)
+            # re-check we would recompute a key that is already cached.
+            # It does not count: the lookup above already counted the miss
+            t_lookup = time.perf_counter_ns()
+            hit = self.cache.peek(key)
             if hit is not None:
+                hit.phase_ns = {"cache": time.perf_counter_ns() - t_lookup}
                 self._slots.release()
                 fut = Future()
                 fut.set_result(hit)

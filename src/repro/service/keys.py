@@ -36,6 +36,9 @@ from repro.validation import check_choice, check_start
 
 __all__ = ["CacheKey", "cache_key", "pattern_digest", "canonical_method"]
 
+#: bytes per hash update: hashlib releases the GIL from 2048 bytes up
+_GIL_SLICE = 2040
+
 
 def pattern_digest(mat: CSRMatrix) -> str:
     """SHA-256 over the CSR *pattern*: shape + ``indptr`` + ``indices``.
@@ -47,10 +50,19 @@ def pattern_digest(mat: CSRMatrix) -> str:
     """
     h = hashlib.sha256()
     h.update(f"csr:{mat.n}:{mat.nnz}:".encode())
-    h.update(np.ascontiguousarray(mat.indptr, dtype="<i8").tobytes())
+    _update_holding_gil(h, mat.indptr)
     h.update(b"|")
-    h.update(np.ascontiguousarray(mat.indices, dtype="<i8").tobytes())
+    _update_holding_gil(h, mat.indices)
     return h.hexdigest()
+
+
+def _update_holding_gil(h, arr: np.ndarray) -> None:
+    """Feed ``arr`` as little-endian int64 into ``h``, zero-copy, in slices
+    that keep the GIL: a hit that released it would wait behind a running
+    computation to get it back.  Slicing leaves the digest as it was."""
+    buf = memoryview(np.ascontiguousarray(arr, dtype="<i8")).cast("B")
+    for lo in range(0, len(buf), _GIL_SLICE):
+        h.update(buf[lo:lo + _GIL_SLICE])
 
 
 def canonical_method(

@@ -56,6 +56,7 @@ from repro.service.core import (
 )
 from repro.service.keys import CacheKey, cache_key
 from repro.sparse.csr import CSRMatrix
+from repro.validation import as_csr
 from repro import telemetry
 
 __all__ = ["HashRing", "ShardedCache", "ShardedService"]
@@ -366,6 +367,7 @@ class ShardedService:
         """Admit, hash once, route, delegate to the owning shard."""
         if self._closed:
             raise ServiceError("service is closed")
+        mat = as_csr(mat)
         method = self._admit(algorithm, method)
         key = cache_key(
             mat, algorithm=algorithm, method=method, start=start,

@@ -117,24 +117,34 @@ class CSRMatrix:
         self.indices = _as_index_array(self.indices, "indices")
         if self.n < 0:
             self.n = int(self.indptr.size - 1)
-        if self.indptr.size != self.n + 1:
-            raise ValueError(
-                f"indptr has length {self.indptr.size}, expected n+1={self.n + 1}"
-            )
-        if self.indptr[0] != 0:
-            raise ValueError("indptr[0] must be 0")
-        if int(self.indptr[-1]) != self.indices.size:
-            raise ValueError("indptr[-1] must equal len(indices)")
-        if np.any(np.diff(self.indptr) < 0):
-            raise ValueError("indptr must be non-decreasing")
-        if self.indices.size and (
-            self.indices.min() < 0 or self.indices.max() >= self.n
-        ):
-            raise ValueError("column index out of range")
+        fault = self.array_fault()
+        if fault is not None:
+            raise ValueError(fault)
         if self.data is not None:
             self.data = np.asarray(self.data, dtype=np.float64)
             if self.data.size != self.indices.size:
                 raise ValueError("data must have nnz entries")
+
+    def array_fault(self) -> Optional[str]:
+        """What the constructor would reject in the arrays as they are now
+        (they can be written after construction), or ``None``."""
+        indptr, indices, n = self.indptr, self.indices, self.n
+        for name, arr in (("indptr", indptr), ("indices", indices)):
+            if not isinstance(arr, np.ndarray) or arr.ndim != 1:
+                return f"{name} must be one-dimensional"
+            if not np.issubdtype(arr.dtype, np.integer):
+                return f"{name} must have an integer dtype, got {arr.dtype}"
+        if n < 0 or indptr.size != n + 1:
+            return f"indptr has length {indptr.size}, expected n+1={n + 1}"
+        if indptr[0] != 0:
+            return "indptr[0] must be 0"
+        if int(indptr[-1]) != indices.size:
+            return "indptr[-1] must equal len(indices)"
+        if np.any(indptr[1:] < indptr[:-1]):
+            return "indptr must be non-decreasing"
+        if indices.size and (indices.min() < 0 or indices.max() >= n):
+            return "column index out of range"
+        return None
 
     # ------------------------------------------------------------------
     # basic properties
@@ -295,7 +305,8 @@ class CSRMatrix:
         csr = mat.tocsr()
         if csr.shape[0] != csr.shape[1]:
             raise ValueError("matrix must be square")
-        csr.sort_indices()
+        if not csr.has_sorted_indices:
+            csr = csr.sorted_indices()  # a copy: the caller's input stays
         return cls(
             indptr=np.asarray(csr.indptr, dtype=np.int64),
             indices=np.asarray(csr.indices, dtype=np.int64),

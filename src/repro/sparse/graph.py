@@ -20,6 +20,7 @@ __all__ = [
     "bfs_order",
     "level_structure",
     "connected_components",
+    "components_by_min_node",
     "component_of",
     "front_statistics",
     "FrontStats",
@@ -103,28 +104,32 @@ def level_structure(mat: CSRMatrix, start: int) -> List[np.ndarray]:
 def connected_components(mat: CSRMatrix) -> Tuple[int, np.ndarray]:
     """Connected components of the undirected graph view.
 
-    Returns ``(count, labels)`` with labels in component-discovery order
-    (component 0 contains node 0).  The matrix is assumed structurally
-    symmetric; use :meth:`CSRMatrix.symmetrize` first otherwise.
+    Returns ``(count, labels)``, components numbered in order of their
+    smallest node (component 0 contains node 0), as scipy's
+    ``csgraph.connected_components`` numbers them.  The matrix is assumed
+    structurally symmetric; use :meth:`CSRMatrix.symmetrize` first
+    otherwise.  Its strongly connected components are then its
+    components, found without building a transpose.
     """
-    n = mat.n
-    labels = np.full(n, -1, dtype=np.int64)
-    comp = 0
-    for seed in range(n):
-        if labels[seed] >= 0:
-            continue
-        # BFS flood fill from seed
-        stack = [seed]
-        labels[seed] = comp
-        indptr, indices = mat.indptr, mat.indices
-        while stack:
-            p = stack.pop()
-            for nb in indices[indptr[p] : indptr[p + 1]]:
-                if labels[nb] < 0:
-                    labels[nb] = comp
-                    stack.append(int(nb))
-        comp += 1
-    return comp, labels
+    from scipy.sparse.csgraph import connected_components as scipy_components
+
+    count, labels = scipy_components(
+        mat.to_scipy(), directed=True, connection="strong"
+    )
+    return int(count), labels.astype(np.int64)
+
+
+def components_by_min_node(mat: CSRMatrix) -> List[np.ndarray]:
+    """Connected components as ascending node arrays, ordered by smallest
+    member: a stable argsort of the :func:`connected_components` labels,
+    split at the component sizes."""
+    count, labels = connected_components(mat)
+    if count <= 1:
+        return [np.arange(mat.n, dtype=np.int64)] * count
+    # a stable sort of 16-bit keys is a radix sort, linear in n
+    keys = labels.astype(np.uint16) if count <= 1 << 16 else labels
+    order = np.argsort(keys, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
 
 
 def component_of(mat: CSRMatrix, node: int) -> np.ndarray:

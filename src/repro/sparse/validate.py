@@ -1,8 +1,11 @@
 """Structural validation of CSR matrices and permutations.
 
-RCM requires a structurally symmetric pattern (undirected graph).  These
-checks are used by the public API to fail fast with clear messages, and by
-the test-suite as reusable assertions.
+RCM requires a structurally symmetric pattern (undirected graph).  Every
+check runs on one kernel, :func:`_single_pass`: the array invariants first
+(the arrays of a :class:`CSRMatrix` can be written after construction),
+then strictly ascending rows, which rule out duplicates without a sort,
+then symmetry against scipy's counting-sort transpose.  The checks that
+name the exact fault run only once the kernel has failed.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.errors import ValidationError
 from repro.sparse.csr import CSRMatrix
 
 __all__ = [
@@ -18,87 +22,84 @@ __all__ = [
     "is_structurally_symmetric",
     "assert_permutation",
     "has_duplicates",
+    "check_arrays",
     "check_batch",
 ]
 
 
+def check_arrays(mat: CSRMatrix) -> None:
+    """Raise :class:`ValidationError` unless the CSR arrays are sound
+    (see :meth:`CSRMatrix.array_fault`)."""
+    fault = mat.array_fault()
+    if fault is not None:
+        raise ValidationError(fault)
+
+
+def _pattern_view(mat: CSRMatrix):
+    """The pattern of a matrix with sound arrays as a scipy CSR matrix."""
+    import scipy.sparse as sp  # deferred: importing repro stays light
+
+    return sp.csr_matrix(
+        (np.ones(mat.nnz, dtype=np.bool_), mat.indices, mat.indptr),
+        shape=mat.shape,
+    )
+
+
+def _equals_transpose(view) -> bool:
+    """True when a row-sorted pattern equals its transpose, which the
+    counting sort returns row-sorted, so the arrays compare directly."""
+    t = view.T.tocsr()
+    return (
+        np.array_equal(t.indptr, view.indptr)
+        and np.array_equal(t.indices, view.indices)
+    )
+
+
+def _single_pass(mat: CSRMatrix, *, symmetric: bool = True) -> bool:
+    """The validity kernel: sound arrays, strictly ascending rows and, when
+    asked, a symmetric pattern."""
+    if mat.array_fault() is not None:
+        return False
+    view = _pattern_view(mat)
+    return view.has_canonical_format and (
+        not symmetric or _equals_transpose(view)
+    )
+
+
+def _sorted_bandwidth(mat: CSRMatrix) -> int:
+    """``max |i - j|`` of a row-sorted symmetric pattern: each entry above
+    the diagonal mirrors one below, so the widest gap between a row and
+    its first column is the bandwidth."""
+    rows = np.flatnonzero(np.diff(mat.indptr))
+    if rows.size == 0:
+        return 0
+    return int(np.max(rows - mat.indices[mat.indptr[rows]]))
+
+
 def has_duplicates(mat: CSRMatrix) -> bool:
     """True when any row stores the same column more than once."""
-    if mat.nnz < 2:
-        return False
-    row_of = np.repeat(np.arange(mat.n, dtype=np.int64), np.diff(mat.indptr))
-    order = np.lexsort((mat.indices, row_of))
-    r = row_of[order]
-    c = mat.indices[order]
-    return bool(np.any((r[1:] == r[:-1]) & (c[1:] == c[:-1])))
+    return not _pattern_view(mat.sort_indices()).has_canonical_format
 
 
 def is_structurally_symmetric(mat: CSRMatrix) -> bool:
-    """True when the pattern equals its transpose."""
-    t = mat.transpose().sort_indices()
-    m = mat.sort_indices()
-    return (
-        np.array_equal(m.indptr, t.indptr)
-        and np.array_equal(m.indices, t.indices)
-    )
+    """True when the pattern equals its transpose (unsound arrays raise
+    :class:`ValidationError`)."""
+    check_arrays(mat)
+    view = _pattern_view(mat)
+    if not view.has_canonical_format:
+        view = _pattern_view(mat.sort_indices())
+    return _equals_transpose(view)
 
 
 def check_batch(mats) -> Optional[np.ndarray]:
-    """One vectorized validity pass over a whole batch of patterns.
-
-    Concatenates the batch into its block-diagonal union and checks — in a
-    fixed number of NumPy passes, independent of ``len(mats)`` — exactly
-    what the per-matrix path checks: indices sorted within rows, no
-    duplicate entries, structural symmetry.  A block-diagonal pattern is
-    symmetric iff every block is, so a single transpose comparison covers
-    the batch; the same pass yields each matrix's initial bandwidth
-    (``max |i - j|``, offsets cancel within a block).
-
-    Returns the per-matrix initial bandwidths on success, or ``None`` when
-    any matrix fails any check — callers rerun the per-matrix checks to
-    raise the precise error for the offending matrix.
-    """
-    k = len(mats)
-    if k == 0:
-        return np.zeros(0, dtype=np.int64)
-    ns = np.fromiter((m.n for m in mats), dtype=np.int64, count=k)
-    nnzs = np.fromiter((m.nnz for m in mats), dtype=np.int64, count=k)
-    node_off = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(ns, out=node_off[1:])
-    nnz_off = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(nnzs, out=nnz_off[1:])
-    total_n = int(node_off[-1])
-    if int(nnz_off[-1]) == 0:
-        return np.zeros(k, dtype=np.int64)
-
-    cols = np.concatenate(
-        [m.indices + node_off[i] for i, m in enumerate(mats)]
-    )
-    degrees = np.concatenate([np.diff(m.indptr) for m in mats])
-    rows = np.repeat(np.arange(total_n, dtype=np.int64), degrees)
-
-    # sortedness + duplicates: within a (globally offset) row, consecutive
-    # columns must be strictly increasing
-    same_row = rows[1:] == rows[:-1]
-    if np.any(same_row & (np.diff(cols) <= 0)):
-        return None
-
-    # symmetry: the block-diagonal union equals its transpose.  The stable
-    # argsort groups by column with rows ascending inside each group, so
-    # the transpose comes out row-sorted and compares directly.
-    order = np.argsort(cols, kind="stable")
-    t_counts = np.bincount(cols, minlength=total_n)
-    if not (
-        np.array_equal(t_counts, np.bincount(rows, minlength=total_n))
-        and np.array_equal(rows[order], cols)
-    ):
-        return None
-
-    widths = np.abs(rows - cols)
-    bws = np.zeros(k, dtype=np.int64)
-    nonempty = nnzs > 0
-    if np.any(nonempty):
-        bws[nonempty] = np.maximum.reduceat(widths, nnz_off[:-1][nonempty])
+    """The validity kernel over a batch of patterns, one at a time: the
+    per-matrix initial bandwidths, or ``None`` when any matrix fails (the
+    caller reruns the precise checks to raise the exact error)."""
+    bws = np.zeros(len(mats), dtype=np.int64)
+    for i, m in enumerate(mats):
+        if not _single_pass(m):
+            return None
+        bws[i] = _sorted_bandwidth(m)
     return bws
 
 
@@ -108,20 +109,22 @@ def validate_csr(
     require_symmetric: bool = False,
     require_sorted: bool = True,
 ) -> None:
-    """Raise ``ValueError`` when the matrix violates structural requirements.
-
-    Construction of :class:`CSRMatrix` already checks shape consistency;
-    this adds duplicate, sortedness and symmetry checks used at the RCM API
-    boundary.
-    """
+    """Raise :class:`ValidationError` (a ``ValueError``) when the matrix
+    violates structural requirements: unsound arrays, duplicates, and —
+    when required — unsorted rows or an asymmetric pattern."""
+    if _single_pass(mat, symmetric=require_symmetric):
+        return
+    check_arrays(mat)
     if has_duplicates(mat):
-        raise ValueError("CSR contains duplicate entries; rebuild via coo_to_csr")
+        raise ValidationError(
+            "CSR contains duplicate entries; rebuild via coo_to_csr"
+        )
     if require_sorted and not mat.has_sorted_indices():
-        raise ValueError(
+        raise ValidationError(
             "CSR indices must be sorted within each row; call sort_indices()"
         )
     if require_symmetric and not is_structurally_symmetric(mat):
-        raise ValueError(
+        raise ValidationError(
             "matrix pattern is not symmetric; call symmetrize() before RCM"
         )
 

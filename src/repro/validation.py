@@ -25,6 +25,7 @@ __all__ = [
     "check_min",
     "check_start",
     "choices_text",
+    "as_csr",
 ]
 
 #: named start-node selection strategies accepted everywhere
@@ -63,3 +64,21 @@ def check_start(start: Union[int, str], n: int) -> None:
             "start strategy must be one of "
             f"{choices_text(START_STRATEGIES)}; got {start!r}"
         )
+
+
+def as_csr(mat):
+    """The front-door input contract: a ``CSRMatrix`` passes, a scipy
+    sparse matrix is converted with ``CSRMatrix.from_scipy``, anything
+    else raises :class:`ValidationError` naming its type."""
+    from repro.sparse.csr import CSRMatrix
+
+    if isinstance(mat, CSRMatrix):
+        return mat
+    import scipy.sparse as sp
+
+    if sp.issparse(mat) and mat.ndim == 2 and mat.shape[0] == mat.shape[1]:
+        return CSRMatrix.from_scipy(mat)
+    kind = f"shape {mat.shape}" if sp.issparse(mat) else type(mat).__qualname__
+    raise ValidationError(
+        f"matrix must be a square CSRMatrix or scipy sparse matrix; got {kind}"
+    )

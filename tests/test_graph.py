@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.graph import (
@@ -14,6 +15,7 @@ from repro.sparse.graph import (
     eccentricity_lower_bound,
 )
 from repro.matrices import generators as g
+from repro.core.api import _components_by_min_node
 
 
 class TestBfsLevels:
@@ -93,6 +95,64 @@ class TestComponents:
 
     def test_component_of(self, two_triangles):
         assert list(component_of(two_triangles, 4)) == [3, 4, 5]
+
+
+def _bfs_components(mat):
+    """The reference: one BFS flood per component, seeded at the smallest
+    unseen node — what both components routines replaced."""
+    seen = np.zeros(mat.n, dtype=bool)
+    comps, labels = [], np.full(mat.n, -1, dtype=np.int64)
+    for seed in range(mat.n):
+        if seen[seed]:
+            continue
+        members = np.flatnonzero(bfs_levels(mat, seed) >= 0).astype(np.int64)
+        seen[members] = True
+        labels[members] = len(comps)
+        comps.append(members)
+    return comps, labels
+
+
+@st.composite
+def multi_component_graphs(draw):
+    """A disjoint union of random connected-ish blocks under a random
+    relabeling, plus isolated nodes."""
+    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=6))
+    n = sum(sizes) + draw(st.integers(0, 4))
+    relabel = np.asarray(draw(st.permutations(range(n))), dtype=np.int64)
+    edges, base = [], 0
+    for size in sizes:
+        for i in range(1, size):
+            edges.append((base + draw(st.integers(0, i - 1)), base + i))
+        extra = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+        edges += [(base + a, base + b) for a, b in draw(st.lists(extra, max_size=size))]
+        base += size
+    edges = [(int(relabel[a]), int(relabel[b])) for a, b in edges]
+    return CSRMatrix.from_edges(n, edges)
+
+
+class TestComponentsMatchBfs:
+    """The scipy-backed routines equal the per-component BFS exactly."""
+
+    @given(mat=multi_component_graphs())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_equal_to_bfs(self, mat):
+        want_comps, want_labels = _bfs_components(mat)
+        count, labels = connected_components(mat)
+        assert count == len(want_comps)
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, want_labels)
+        comps = _components_by_min_node(mat)
+        assert len(comps) == len(want_comps)
+        for got, want in zip(comps, want_comps):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+
+    def test_empty_matrix(self):
+        mat = CSRMatrix(indptr=[0], indices=[], n=0)
+        assert _components_by_min_node(mat) == []
+        count, labels = connected_components(mat)
+        assert count == 0 and labels.size == 0
 
 
 class TestFrontStatistics:
