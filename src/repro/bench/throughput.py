@@ -45,64 +45,38 @@ def build_workload(count: int, *, size: int = 40) -> list:
 
 def measure(
     mats: Sequence, *, n_workers: Optional[int] = None,
-    chunk_size: Optional[int] = None, compare_transports: bool = False,
+    chunk_size: Optional[int] = None,
 ) -> List[dict]:
-    """Wall time of the in-process loop vs the chunked process pool.
-
-    With ``compare_transports`` the pool pass runs twice — once over the
-    legacy pickle transport (``REPRO_NO_SHM=1``) and once over the
-    shared-memory transport — isolating the transport's contribution.
-    """
+    """Wall time of the in-process loop vs the chunked process pool."""
     import numpy as np
 
     from repro.core.api import _reorder_rcm
     from repro.parallel import ParallelConfig, map_matrices, resolve_workers
 
+    cfg = ParallelConfig(
+        n_workers=n_workers, chunk_size=chunk_size, force_processes=True
+    )
     t0 = time.perf_counter()
     seq = [_reorder_rcm(m, method="vectorized") for m in mats]
     seq_s = time.perf_counter() - t0
 
-    cfg = ParallelConfig(
-        n_workers=n_workers, chunk_size=chunk_size, force_processes=True
-    )
-
-    def _pool_pass(mode: str, *, no_shm: bool) -> dict:
-        from repro.parallel import shm
-
-        old = os.environ.get("REPRO_NO_SHM")
-        if no_shm:
-            os.environ["REPRO_NO_SHM"] = "1"
-        else:
-            os.environ.pop("REPRO_NO_SHM", None)
-        try:
-            transport = "shm" if shm.shm_available() else "pickle"
-            t0 = time.perf_counter()
-            par = map_matrices(mats, method="vectorized", config=cfg)
-            par_s = time.perf_counter() - t0
-        finally:
-            if old is None:
-                os.environ.pop("REPRO_NO_SHM", None)
-            else:
-                os.environ["REPRO_NO_SHM"] = old
-        for a, b in zip(seq, par):
-            if not np.array_equal(a.permutation, b.permutation):
-                raise AssertionError(
-                    "process-pool result diverged from in-process"
-                )
-        return {"mode": mode, "workers": resolve_workers(n_workers),
-                "seconds": par_s, "matrices_per_s": len(mats) / par_s,
-                "transport": transport}
-
-    rows = [
+    t0 = time.perf_counter()
+    par = map_matrices(mats, method="vectorized", config=cfg)
+    par_s = time.perf_counter() - t0
+    if len(par) != len(mats):
+        raise AssertionError(
+            f"process pool returned {len(par)} results for {len(mats)} "
+            "matrices"
+        )
+    for a, b in zip(seq, par):
+        if not np.array_equal(a.permutation, b.permutation):
+            raise AssertionError("process-pool result diverged from in-process")
+    return [
         {"mode": "in-process", "workers": 1, "seconds": seq_s,
-         "matrices_per_s": len(mats) / seq_s, "transport": "none"},
+         "matrices_per_s": len(mats) / seq_s},
+        {"mode": "process-pool", "workers": resolve_workers(n_workers),
+         "seconds": par_s, "matrices_per_s": len(mats) / par_s},
     ]
-    if compare_transports:
-        rows.append(_pool_pass("process-pool[pickle]", no_shm=True))
-        rows.append(_pool_pass("process-pool[shm]", no_shm=False))
-    else:
-        rows.append(_pool_pass("process-pool", no_shm=False))
-    return rows
 
 
 def main(argv: Optional[Sequence[str]] = None) -> List[dict]:
@@ -115,9 +89,6 @@ def main(argv: Optional[Sequence[str]] = None) -> List[dict]:
     parser.add_argument("--workers", type=int, default=None,
                         help="pool size (default: cpu count)")
     parser.add_argument("--chunk-size", type=int, default=None)
-    parser.add_argument("--shm", action="store_true",
-                        help="run the pool pass over both the pickle and "
-                             "the shared-memory transport")
     parser.add_argument("--quick", action="store_true")
     parser.add_argument("--csv", default=None)
     parser.add_argument("--json", default=None,
@@ -127,12 +98,11 @@ def main(argv: Optional[Sequence[str]] = None) -> List[dict]:
     count = 8 if args.quick else args.count
     size = 24 if args.quick else args.size
     mats = build_workload(count, size=size)
-    rows = measure(mats, n_workers=args.workers, chunk_size=args.chunk_size,
-                   compare_transports=args.shm)
+    rows = measure(mats, n_workers=args.workers, chunk_size=args.chunk_size)
 
-    headers = ["mode", "workers", "transport", "seconds", "matrices/s"]
+    headers = ["mode", "workers", "seconds", "matrices/s"]
     table = [
-        [r["mode"], r["workers"], r["transport"], round(r["seconds"], 3),
+        [r["mode"], r["workers"], round(r["seconds"], 3),
          round(r["matrices_per_s"], 2)]
         for r in rows
     ]

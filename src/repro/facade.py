@@ -41,8 +41,8 @@ through the zero-copy shared-memory transport to the persistent process
 pool (:func:`repro.parallel.map_matrices`), ``method="auto"`` priced with
 the batch-aware cost term (``setup_cycles`` amortized over the batch; see
 :meth:`repro.backends.Backend.estimate`).  Results are byte-identical to
-calling :func:`reorder` per matrix.  Set ``REPRO_NO_SHM=1`` to opt out of
-shared memory (the legacy pickle transport runs instead).
+calling :func:`reorder` per matrix.  Where ``fork`` or shared memory is
+unavailable the batch runs in-process, with the same results.
 
 Errors: everything either entry point raises on purpose derives from
 :class:`repro.errors.ReproError` — :class:`repro.errors.ValidationError`
@@ -301,8 +301,7 @@ def reorder_many(
     * matrices are grouped by resolved backend and each group runs as
       **one** executor dispatch (:func:`repro.parallel.map_matrices`):
       CSR payloads travel via the zero-copy shared-memory transport, the
-      persistent pool is warmed once and reused (``REPRO_NO_SHM=1`` opts
-      back into the pickle transport);
+      persistent pool is warmed once and reused;
     * with ``cache=`` given (cache object or disk-tier path, sharded per
       ``shards`` exactly as in :func:`reorder`), hits are served per
       matrix up front (``phase_ns={"cache": <ns>}``) and only the misses

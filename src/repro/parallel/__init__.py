@@ -17,11 +17,10 @@ Matrix payloads travel through the zero-copy shared-memory transport
 read-only views, permutations written in place into a shared result arena
 — no CSR bytes cross the pipe.  The fork pool is persistent and warmed
 once per lifetime (``parallel.pool.reused`` counts reuse).  Every entry
-point degrades gracefully — to the legacy pickle transport when shared
-memory is unavailable or opted out (``REPRO_NO_SHM``), and to in-process
-execution when ``fork`` is unavailable, the pool cannot start, or the
-input is too small to amortize dispatch.  Results are **bit-identical**
-to the serial path in all cases.
+point degrades gracefully to in-process execution when ``fork`` or shared
+memory is unavailable, the pool fails, or the input is too small to
+amortize dispatch.  Results are **bit-identical** to the serial path in
+all cases.
 """
 
 from repro.parallel import shm

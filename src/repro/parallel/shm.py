@@ -1,15 +1,16 @@
 """Zero-copy shared-memory CSR transport for the process pool.
 
-The fork-pool hot path used to ship every CSR payload (``indptr`` +
-``indices``) into workers and every permutation back out through
-``ForkingPickler`` — a full serialize/copy/deserialize round trip per
-dispatch that grows linearly with ``nnz``.  This module replaces both
-directions with POSIX shared memory (:mod:`multiprocessing.shared_memory`):
+Shipping every CSR payload (``indptr`` + ``indices``) into workers and
+every permutation back out through ``ForkingPickler`` costs a full
+serialize/copy/deserialize round trip per dispatch that grows linearly
+with ``nnz``.  This module replaces both directions with POSIX shared
+memory (:mod:`multiprocessing.shared_memory`):
 
-* :meth:`ShmBatch.publish_csr` writes a matrix's pattern **once** into one
-  shared segment (``[indptr | indices]``, little-endian int64) and returns
-  a tiny picklable :class:`CSRHandle` (segment name + shape) — the only
-  thing that crosses the pipe;
+* :meth:`ShmBatch.publish_many` writes the patterns of a batch **once**
+  into one shared segment (``[indptr | indices]`` per matrix,
+  little-endian int64) and returns one tiny picklable :class:`CSRHandle`
+  per matrix (segment name + shape + offset) — the only thing that
+  crosses the pipe;
 * workers attach read-only NumPy views over the same physical pages
   (:func:`attach_csr`, memoized per worker via a small LRU) — no copy, no
   deserialization;
@@ -24,10 +25,9 @@ survived, bumping the ``parallel.shm.leaked`` counter per swept segment so
 leaks are observable, not silent.  Counters ``parallel.shm.published`` /
 ``parallel.shm.bytes`` record transport volume.
 
-Set ``REPRO_NO_SHM=1`` (or any non-empty value) to disable the transport;
-every caller then falls back to the legacy pickle path.  The transport also
-disables itself when :mod:`multiprocessing.shared_memory` is unusable on
-the platform (:func:`shm_available` probes once per process).
+When :mod:`multiprocessing.shared_memory` is unusable on the platform
+(:func:`shm_available` probes once per process), the executor runs every
+dispatch in-process instead (``parallel.fallbacks.no-shm``).
 """
 
 from __future__ import annotations
@@ -91,14 +91,10 @@ _AVAILABLE: Optional[bool] = None
 
 
 def shm_available() -> bool:
-    """Whether the shared-memory transport is usable and not opted out.
+    """Whether the shared-memory transport is usable on this platform.
 
-    ``REPRO_NO_SHM`` wins over everything (checked per call, so tests can
-    flip it); platform support is probed once per process by creating and
-    unlinking a minimal segment.
+    Probed once per process by creating and unlinking a minimal segment.
     """
-    if os.environ.get("REPRO_NO_SHM"):
-        return False
     global _AVAILABLE
     if _AVAILABLE is None:
         try:
@@ -231,7 +227,7 @@ class ShmBatch:
     ::
 
         with ShmBatch() as batch:
-            handle = batch.publish_csr(mat)
+            (handle,) = batch.publish_many([mat])
             arena = batch.result_arena(mat.n)
             ... submit tasks carrying (handle, arena.handle, ...) ...
             perm = arena.block(0, mat.n)
@@ -259,27 +255,13 @@ class ShmBatch:
         self._bytes += size
         return seg
 
-    def publish_csr(self, mat: CSRMatrix) -> CSRHandle:
-        """Write one matrix's pattern into a fresh segment.
-
-        Layout: ``indptr`` (n+1 int64) immediately followed by ``indices``
-        (nnz int64).  Returns the handle workers attach through.
-        """
-        n, nnz = mat.n, mat.nnz
-        seg = self._create((n + 1 + nnz) * _ITEM)
-        buf = np.ndarray((n + 1 + nnz,), dtype="<i8", buffer=seg.buf)
-        buf[:n + 1] = mat.indptr
-        buf[n + 1:] = mat.indices
-        del buf
-        self._published += 1
-        return CSRHandle(name=seg.name, n=n, nnz=nnz)
-
     def publish_many(self, mats: "Sequence[CSRMatrix]") -> List[CSRHandle]:
         """Pack a whole batch of patterns into *one* segment.
 
-        One allocation + one attach per worker for the entire batch — the
-        per-matrix cost of the transport drops to two ``memcpy`` calls,
-        which is what lets small-matrix batches beat the pickle path.
+        Layout per matrix: ``indptr`` (n+1 int64) immediately followed by
+        ``indices`` (nnz int64), at the handle's ``offset``.  One
+        allocation + one attach per worker for the entire batch — the
+        per-matrix cost of the transport drops to two ``memcpy`` calls.
         """
         if not mats:
             return []

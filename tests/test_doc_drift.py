@@ -187,7 +187,7 @@ class TestProseDocs:
         text = (DOCS / "api.md").read_text()
         for needle in (
             "reorder_many",
-            "REPRO_NO_SHM",
+            "parallel.shm.leaked",
             "setup_cycles",
             "RemovedAPIError",
             "batch_window_ms",

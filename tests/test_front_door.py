@@ -121,7 +121,7 @@ NOT_CSR = st.one_of(
 )
 
 
-#: sound matrices that lift a batch over ``min_parallel_nodes``, so
+#: sound matrices that lift a batch over ``MIN_PARALLEL_NODES``, so
 #: ``n_workers=2`` sends it through the process pool
 POOL_BATCH = [g.grid2d(40, 40), g.grid2d(40, 41)]
 
@@ -170,18 +170,16 @@ class TestMalformedCsr:
         from repro.parallel import executor
 
         seen = []
+        real = executor._dispatch
 
-        def spy(real):
-            def wrapped(mats, *args, **kwargs):
-                seen.append(len(mats))
-                return real(mats, *args, **kwargs)
-            return wrapped
+        def spy(pool, task, args, weights, span, **attrs):
+            seen.append((span, attrs["n_matrices"]))
+            return real(pool, task, args, weights, span, **attrs)
 
-        for name in ("_map_shm", "_map_pickle"):
-            monkeypatch.setattr(executor, name, spy(getattr(executor, name)))
+        monkeypatch.setattr(executor, "_dispatch", spy)
         repro.reorder_many(
             POOL_BATCH + [g.grid2d(3, 3)], method="serial", n_workers=2)
-        assert seen == [len(POOL_BATCH) + 1]
+        assert seen == [("parallel.map", len(POOL_BATCH) + 1)]
 
     @given(case=malformed())
     @settings(**dict(SETTINGS, max_examples=20))

@@ -7,6 +7,7 @@ import pytest
 
 from repro import telemetry
 from repro.core.api import _reorder_rcm
+from repro.errors import ValidationError
 from repro.matrices import generators as g
 from repro.parallel import (
     ParallelConfig,
@@ -68,7 +69,9 @@ class TestComponentPool:
 
     def test_fallback_blocks_cover_matrix(self, two_triangles):
         ref = _reorder_rcm(two_triangles, method="serial")
-        parts = rcm_components(two_triangles, ref.start_nodes)
+        parts = rcm_components(
+            two_triangles, ref.start_nodes, sizes=ref.component_sizes
+        )
         assert sum(len(p) for p in parts) == two_triangles.n
 
 
@@ -113,3 +116,30 @@ class TestConfig:
 
     def test_fork_available_is_bool(self):
         assert isinstance(fork_available(), bool)
+
+    @pytest.mark.parametrize("chunk_size", [0, -1, 2.5, "3"])
+    def test_chunk_size_must_be_an_int_of_at_least_one(self, chunk_size):
+        with pytest.raises(ValidationError, match="chunk_size"):
+            ParallelConfig(n_workers=2, chunk_size=chunk_size,
+                           force_processes=True)
+
+
+class TestThroughputBench:
+    def test_measure_rejects_a_short_pool_result(self, monkeypatch):
+        import repro.parallel
+        from repro.bench import throughput
+
+        real = repro.parallel.map_matrices
+        monkeypatch.setattr(
+            repro.parallel, "map_matrices",
+            lambda mats, **kw: real(mats, **kw)[:-1],
+        )
+        mats = throughput.build_workload(3, size=6)
+        with pytest.raises(AssertionError, match="2 results for 3"):
+            throughput.measure(mats, n_workers=2)
+
+    def test_cli_rejects_negative_chunk_size(self):
+        from repro.bench import throughput
+
+        with pytest.raises(ValidationError, match="chunk_size"):
+            throughput.main(["--quick", "--chunk-size", "-1"])

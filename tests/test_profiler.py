@@ -7,8 +7,8 @@ the collapsed/speedscope exporters, the worker-capture round trip, the
 /statusz section, per-shard aggregation in service stats, and the PR's
 acceptance invariant: a ``method="parallel"`` request produces ONE merged
 flamegraph holding both parent-process and fork-worker stacks with
-correct phase and shard attribution — deterministic under
-``REPRO_NO_SHM=1``.
+correct phase and shard attribution — deterministic on a freshly forked
+pool.
 """
 
 import json
@@ -21,6 +21,7 @@ import pytest
 
 from repro import telemetry
 from repro.matrices import generators as g
+from repro.parallel import reset_pools
 from repro.sparse.csr import CSRMatrix
 from repro.telemetry import context as tctx
 from repro.telemetry import profiler
@@ -361,13 +362,13 @@ class TestCrossProcessProfile:
     """Acceptance: one parallel request -> one merged flamegraph."""
 
     def _multi_component_matrix(self):
-        # two components, n = 2 * 36*36 = 2592 > min_parallel_nodes, so
+        # two components, n = 2 * 36*36 = 2592 > MIN_PARALLEL_NODES, so
         # the pool genuinely forks
         return _block_diag([g.grid2d(36, 36), g.grid2d(36, 36)])
 
-    def test_parallel_request_merges_worker_stacks(self, monkeypatch):
-        # pickle transport: deterministic fresh fork per dispatch
-        monkeypatch.setenv("REPRO_NO_SHM", "1")
+    def test_parallel_request_merges_worker_stacks(self):
+        # deterministic: the pool forks fresh for this dispatch
+        reset_pools()
         from repro.core.api import _reorder_rcm
 
         telemetry.enable()
@@ -410,8 +411,8 @@ class TestCrossProcessProfile:
         assert report["dominant_phase"]
         assert report["what_if"][0]["wall_reduction_pct"] >= 0
 
-    def test_worker_report_profile_ships_via_pickle_path(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_SHM", "1")
+    def test_worker_report_profile_ships_via_pickle_path(self):
+        reset_pools()
         from repro.core.api import _reorder_rcm
 
         telemetry.enable()

@@ -1,6 +1,6 @@
 """Shared-memory transport lifecycle: publish/attach round trips,
 guaranteed unlink on every exit path, the no-pickle guarantee, pool reuse
-and the ``REPRO_NO_SHM`` opt-out.
+and the in-process fallback when shared memory is unavailable.
 
 These tests force the process-pool path (``force_processes=True``) so they
 exercise the real transport even on single-core CI hosts.  Tests that
@@ -25,7 +25,9 @@ from repro.parallel import (
     reset_pools,
     shm,
 )
-from repro.core.api import _reorder_rcm
+from repro.core.api import _components_by_min_node, _reorder_rcm
+from repro.core.vectorized import rcm_vectorized
+from repro.sparse.csr import CSRMatrix
 
 needs_shm = pytest.mark.skipif(
     not shm.shm_available(), reason="shared memory unavailable on platform"
@@ -46,14 +48,23 @@ def _workload(count: int = 6, size: int = 14) -> list:
     return [g.grid2d(size + i, size) for i in range(count)]
 
 
+def _two_components() -> CSRMatrix:
+    """A 1380-node pattern with two components of different sizes."""
+    import scipy.sparse as sp
+
+    blocks = [g.grid2d(30, 30).to_scipy(), g.grid2d(24, 20).to_scipy()]
+    return CSRMatrix.from_scipy(sp.block_diag(blocks, format="csr"))
+
+
 # ----------------------------------------------------------------------
 # publish / attach round trips
 # ----------------------------------------------------------------------
 @needs_shm
 class TestPublishAttach:
-    def test_publish_csr_round_trip(self, medium_grid):
+    def test_publish_one_round_trip(self, medium_grid):
         with shm.ShmBatch() as batch:
-            handle = batch.publish_csr(medium_grid)
+            (handle,) = batch.publish_many([medium_grid])
+            assert handle.offset == 0
             view = shm.attach_csr(handle)
             assert view.n == medium_grid.n
             assert np.array_equal(view.indptr, medium_grid.indptr)
@@ -61,7 +72,7 @@ class TestPublishAttach:
 
     def test_attached_view_is_read_only(self, medium_grid):
         with shm.ShmBatch() as batch:
-            view = shm.attach_csr(batch.publish_csr(medium_grid))
+            view = shm.attach_csr(batch.publish_many([medium_grid])[0])
             with pytest.raises(ValueError):
                 view.indices[0] = 99
 
@@ -92,7 +103,7 @@ class TestPublishAttach:
 class TestLifecycle:
     def test_unlink_on_success(self, medium_grid):
         with shm.ShmBatch() as batch:
-            batch.publish_csr(medium_grid)
+            batch.publish_many([medium_grid])
             batch.result_arena(medium_grid.n)
             assert len(shm.active_segments()) == 2
         assert shm.active_segments() == ()
@@ -100,13 +111,13 @@ class TestLifecycle:
     def test_unlink_on_error_path(self, medium_grid):
         with pytest.raises(RuntimeError, match="mid-batch"):
             with shm.ShmBatch() as batch:
-                batch.publish_csr(medium_grid)
+                batch.publish_many([medium_grid])
                 raise RuntimeError("simulated failure mid-batch")
         assert shm.active_segments() == ()
 
     def test_close_is_idempotent(self, medium_grid):
         batch = shm.ShmBatch()
-        batch.publish_csr(medium_grid)
+        batch.publish_many([medium_grid])
         batch.close()
         batch.close()
         assert shm.active_segments() == ()
@@ -114,7 +125,7 @@ class TestLifecycle:
     def test_sweep_counts_leaks(self, medium_grid):
         telemetry.enable()
         leaked = shm.ShmBatch()
-        leaked.publish_csr(medium_grid)
+        leaked.publish_many([medium_grid])
         assert len(shm.active_segments()) == 1
         assert shm.sweep_leaked() == 1
         assert shm.active_segments() == ()
@@ -124,7 +135,7 @@ class TestLifecycle:
     def test_publish_counters(self, medium_grid):
         telemetry.enable()
         with shm.ShmBatch() as batch:
-            batch.publish_csr(medium_grid)
+            batch.publish_many([medium_grid])
         counters = telemetry.get().snapshot()["counters"]
         assert counters["parallel.shm.published"] == 1
         assert counters["parallel.shm.bytes"] > 0
@@ -178,13 +189,21 @@ def _forbid_ndarray_pickle(arr: np.ndarray):
 @needs_shm
 @needs_fork
 class TestNoPickle:
-    def test_no_matrix_bytes_cross_the_pipe(self):
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    def test_no_matrix_bytes_cross_the_pipe(self, traced):
         """With the reducer below registered in parent and workers, any
         non-empty ndarray going through ForkingPickler raises — proving
-        matrices and permutations travel via shared memory only.  (The
-        empty perm-stripped sentinel is the single allowed ndarray.)"""
+        matrices and permutations travel via shared memory only, with or
+        without the worker reports telemetry ships home.  (The empty
+        perm-stripped sentinel is the single allowed ndarray.)"""
         from multiprocessing.reduction import ForkingPickler
 
+        # set both ways: the autouse fixture resets telemetry but leaves
+        # it enabled if an earlier test turned it on
+        if traced:
+            telemetry.enable()
+        else:
+            telemetry.disable()
         reset_pools()  # workers must fork *after* the reducer registers
         ForkingPickler.register(np.ndarray, _forbid_ndarray_pickle)
         try:
@@ -192,11 +211,7 @@ class TestNoPickle:
             cfg = ParallelConfig(n_workers=2, force_processes=True)
             results = map_matrices(mats, method="vectorized", config=cfg)
 
-            starts = [0] * 3
-            sizes = None
-            mat = g.grid2d(48, 48)
-            from repro.core.api import _components_by_min_node
-
+            mat = _two_components()
             comps = _components_by_min_node(mat)
             starts = [int(c[0]) for c in comps]
             sizes = [int(c.size) for c in comps]
@@ -208,7 +223,15 @@ class TestNoPickle:
         for m, res in zip(mats, results):
             ref = _reorder_rcm(m, method="vectorized")
             assert np.array_equal(res.permutation, ref.permutation)
-        assert sum(p.size for p in parts) == mat.n
+        for start, part in zip(starts, parts):
+            assert np.array_equal(part, rcm_vectorized(mat, start))
+        workers = [
+            r for r in telemetry.get().tracer.records()
+            if r.name == "parallel.worker"
+        ]
+        # traced: one worker span per component and per chunk (six
+        # matrices on two workers make one-matrix chunks)
+        assert len(workers) == (len(starts) + len(mats) if traced else 0)
 
     def test_guard_reducer_fires_on_ndarray(self):
         """Sanity check of the guard itself: a non-empty ndarray pushed
@@ -227,27 +250,41 @@ class TestNoPickle:
 
 
 # ----------------------------------------------------------------------
-# opt-out + pool reuse
+# no-shm fallback + pool reuse
 # ----------------------------------------------------------------------
 class TestOptOutAndPool:
-    def test_no_shm_env_disables_transport(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_SHM", "1")
-        assert not shm.shm_available()
-
     @needs_fork
-    def test_pickle_path_identical(self, monkeypatch):
+    def test_no_shm_runs_in_process(self, monkeypatch):
+        """Without usable shared memory both entry points run in-process,
+        byte-identical, and say why on ``parallel.fallbacks.no-shm``."""
+        from repro.parallel import executor
+
+        def no_pool(workers):
+            raise AssertionError("the pool must not be reached")
+
+        monkeypatch.setattr(shm, "shm_available", lambda: False)
+        monkeypatch.setattr(executor, "_get_pool", no_pool)
+        telemetry.enable()
         mats = _workload()
         cfg = ParallelConfig(n_workers=2, force_processes=True)
-        monkeypatch.setenv("REPRO_NO_SHM", "1")
-        try:
-            legacy = map_matrices(mats, method="vectorized", config=cfg)
-        finally:
-            reset_pools()
-        monkeypatch.delenv("REPRO_NO_SHM")
-        fresh = map_matrices(mats, method="vectorized", config=cfg)
-        for a, b in zip(legacy, fresh):
-            assert np.array_equal(a.permutation, b.permutation)
-            assert a.reordered_bandwidth == b.reordered_bandwidth
+        results = map_matrices(mats, method="vectorized", config=cfg)
+        mat = _two_components()
+        comps = _components_by_min_node(mat)
+        starts = [int(c[0]) for c in comps]
+        parts = rcm_components(
+            mat, starts, sizes=[int(c.size) for c in comps], config=cfg
+        )
+
+        assert len(results) == len(mats)
+        for m, res in zip(mats, results):
+            ref = _reorder_rcm(m, method="vectorized")
+            assert res.permutation.tobytes() == ref.permutation.tobytes()
+        for start, part in zip(starts, parts):
+            assert part.tobytes() == rcm_vectorized(mat, start).tobytes()
+        counters = telemetry.get().snapshot()["counters"]
+        assert counters["parallel.fallbacks.no-shm"] == 2
+        assert "parallel.tasks" not in counters
+        assert "parallel.matrices" not in counters
 
     @needs_shm
     @needs_fork

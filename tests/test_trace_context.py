@@ -221,7 +221,7 @@ class TestCrossProcessTrace:
     """The acceptance invariant: one request, one trace, many processes."""
 
     def _multi_component_matrix(self):
-        # two components, n = 2 * 36*36 = 2592 > min_parallel_nodes, so the
+        # two components, n = 2 * 36*36 = 2592 > MIN_PARALLEL_NODES, so the
         # pool genuinely forks
         return _block_diag([g.grid2d(36, 36), g.grid2d(36, 36)])
 
