@@ -14,18 +14,7 @@ by ``check_regressions.py``'s ratio invariants) with:
   (``shm_dispatch_ms``, ``None`` where shm is unavailable);
 * the warm-path cost of the continuous sampling profiler at its default
   rate (``profiler_overhead_pct``: best-of-reps per-request time with the
-  profiler on vs off — budget ≤3%, enforced by check_regressions.py);
-* the sharded-service numbers: the 16-thread warm-path hammer rate at
-  N=1 and N=4 shards (``sharded_requests_per_s`` — honest wall clock,
-  which on a single-core runner *cannot* exceed the unsharded rate
-  because the warm path is GIL-bound Python either way), the per-shard
-  **capacity** sum (``shard_capacity_requests_per_s`` — each shard
-  driven alone, so the metric scales with shard count independently of
-  the runner's core count; this carries the ≥1.5× acceptance floor) and
-  ``shard_balance`` (max/mean per-shard request load over the hammer
-  workload, ≤2.0).  ``host.cpus`` rides in the artifact so the gate can
-  condition the wall-clock floor on machines that actually have the
-  cores.
+  profiler on vs off — budget ≤3%, enforced by check_regressions.py).
 
 The test is intentionally *not* named ``test_service_throughput``: the
 autouse ``bench_record`` fixture derives its own ``BENCH_<name>.json``
@@ -36,17 +25,11 @@ here.
 from __future__ import annotations
 
 import json
-import threading
 import time
 
 from repro.matrices import get_matrix
 from repro.matrices.generators import delaunay_mesh
-from repro.service import (
-    ReorderService,
-    ServiceConfig,
-    ShardedService,
-    cache_key,
-)
+from repro.service import ReorderService, ServiceConfig
 from repro.telemetry import profiler
 from repro.telemetry.events import SCHEMA, host_info
 
@@ -66,15 +49,6 @@ BATCH_WINDOW_MS = 10.0
 BATCH_ROUNDS = 3
 #: bench-level sanity floor; check_regressions.py enforces its own
 MIN_BATCH_SPEEDUP = 1.2
-
-#: sharded warm-path workload: distinct keys spanning every shard slot
-SHARD_N = 4
-SHARD_KEYS = 64
-SHARD_HAMMER_THREADS = 16
-SHARD_HAMMER_ROUNDS = 3
-#: acceptance floors mirrored by check_regressions.py
-MIN_SHARDED_CAPACITY_SPEEDUP = 1.5
-MAX_SHARD_BALANCE = 2.0
 
 
 def _batch_workload():
@@ -97,90 +71,6 @@ def _concurrent_requests_per_s(mats, window_ms, max_batch):
                 f.result(timeout=60)
             best = max(best, len(mats) / (time.perf_counter() - t0))
     return best
-
-
-def _shard_workload():
-    """Distinct warm-path keys; 64 keys spread over a 128-vnode ring land
-    on every slot of a 4-shard service."""
-    return [delaunay_mesh(10, seed=1000 + i) for i in range(SHARD_KEYS)]
-
-
-def _hammer_requests_per_s(svc, mats, n_threads):
-    """Wall-clock warm rate: ``n_threads`` concurrent clients each sweep
-    the whole (pre-warmed) key population ``SHARD_HAMMER_ROUNDS`` times."""
-    barrier = threading.Barrier(n_threads + 1)
-    errors = []
-
-    def worker():
-        barrier.wait()
-        try:
-            for _ in range(SHARD_HAMMER_ROUNDS):
-                for m in mats:
-                    svc.reorder(m, timeout=60)
-        except Exception as exc:  # pragma: no cover - surfaced below
-            errors.append(exc)
-
-    threads = [threading.Thread(target=worker) for _ in range(n_threads)]
-    for t in threads:
-        t.start()
-    barrier.wait()
-    t0 = time.perf_counter()
-    for t in threads:
-        t.join()
-    elapsed = time.perf_counter() - t0
-    assert not errors, errors[0]
-    total = n_threads * SHARD_HAMMER_ROUNDS * len(mats)
-    return total / elapsed
-
-
-def _shard_capacity_requests_per_s(svc, by_shard):
-    """Core-count-independent capacity: each shard's warm rate measured
-    with that shard driven **alone** (single caller, only its own keys),
-    summed.  This is the throughput N shards deliver once each has a core
-    of its own — the metric the ≥1.5× sharding floor is enforced on,
-    because a 16-thread wall-clock hammer on a 1-CPU runner measures the
-    GIL, not the architecture."""
-    capacity = 0.0
-    for mats in by_shard.values():
-        reps = max(1, 256 // len(mats))
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            for m in mats:
-                svc.reorder(m, timeout=60)
-        capacity += (reps * len(mats)) / (time.perf_counter() - t0)
-    return capacity
-
-
-def _sharded_measurements(mats):
-    """Warm-path hammer rate, capacity sum and load balance at N=1/N=4."""
-    out = {}
-    for n_shards in (1, SHARD_N):
-        cfg = ServiceConfig(n_workers=2, max_pending=4 * len(mats))
-        with ShardedService(cfg, shards=n_shards) as svc:
-            for m in mats:  # cold pass populates every shard's cache
-                svc.reorder(m, timeout=120)
-            by_shard = {}
-            for m in mats:
-                by_shard.setdefault(svc.route(cache_key(m)), []).append(m)
-            assert len(by_shard) == n_shards, (
-                f"{SHARD_KEYS} keys only reached {len(by_shard)} of "
-                f"{n_shards} shards — enlarge SHARD_KEYS"
-            )
-            wall_rps = _hammer_requests_per_s(
-                svc, mats, SHARD_HAMMER_THREADS
-            )
-            capacity = _shard_capacity_requests_per_s(svc, by_shard)
-            loads = [
-                s["service.requests"] for s in svc.stats()["shards"]
-            ]
-            balance = max(loads) / (sum(loads) / len(loads))
-        out[n_shards] = {
-            "wall_rps": wall_rps,
-            "capacity": capacity,
-            "loads": loads,
-            "balance": balance,
-        }
-    return out
 
 
 def _shm_dispatch_ms(mats):
@@ -255,16 +145,6 @@ def test_service_cache_serving(benchmark, results_dir):
     batch_speedup = batched_rps / single_rps if single_rps > 0 else None
     shm_ms = _shm_dispatch_ms(batch_mats)
 
-    # sharded warm path: N=1 vs N=4 over a key set spanning every shard
-    sharded = _sharded_measurements(_shard_workload())
-    one, many = sharded[1], sharded[SHARD_N]
-    capacity_speedup = (
-        many["capacity"] / one["capacity"] if one["capacity"] > 0 else None
-    )
-    wallclock_speedup = (
-        many["wall_rps"] / one["wall_rps"] if one["wall_rps"] > 0 else None
-    )
-
     payload = {
         "schema": SCHEMA,
         "bench": "service_throughput",
@@ -287,17 +167,6 @@ def test_service_cache_serving(benchmark, results_dir):
         "batch_size": BATCH_N,
         "batch_window_ms": BATCH_WINDOW_MS,
         "shm_dispatch_ms": shm_ms,
-        "n_shards": SHARD_N,
-        "shard_keys": SHARD_KEYS,
-        "shard_hammer_threads": SHARD_HAMMER_THREADS,
-        "sharded_requests_per_s": many["wall_rps"],
-        "single_shard_requests_per_s": one["wall_rps"],
-        "sharded_wallclock_speedup": wallclock_speedup,
-        "shard_capacity_requests_per_s": many["capacity"],
-        "single_shard_capacity_requests_per_s": one["capacity"],
-        "sharded_capacity_speedup": capacity_speedup,
-        "shard_balance": many["balance"],
-        "shard_loads": many["loads"],
         "service_stats": stats,
         "host": host_info(),
         "unix_time": time.time(),
@@ -314,19 +183,6 @@ def test_service_cache_serving(benchmark, results_dir):
         f"batched admission only {batch_speedup:.2f}x the per-request "
         f"dispatch rate (batched {batched_rps:.0f}/s, single "
         f"{single_rps:.0f}/s over {BATCH_N} distinct patterns)"
-    )
-    assert (
-        capacity_speedup is not None
-        and capacity_speedup >= MIN_SHARDED_CAPACITY_SPEEDUP
-    ), (
-        f"sharded (N={SHARD_N}) warm capacity only "
-        f"{capacity_speedup:.2f}x single-shard "
-        f"(must stay >= {MIN_SHARDED_CAPACITY_SPEEDUP}x; "
-        f"{many['capacity']:.0f}/s vs {one['capacity']:.0f}/s)"
-    )
-    assert many["balance"] <= MAX_SHARD_BALANCE, (
-        f"shard load balance {many['balance']:.2f} exceeds "
-        f"{MAX_SHARD_BALANCE} (per-shard loads {many['loads']})"
     )
     assert profiler_overhead_pct <= MAX_PROFILER_OVERHEAD_PCT, (
         f"sampling profiler degrades the warm path by "

@@ -44,15 +44,6 @@ slack) and therefore always enforced:
   ``--max-profiler-overhead-pct`` (default 3.0) — the continuous sampling
   profiler's warm-path cost budget, measured as back-to-back best-of-reps
   floors with the profiler on vs off;
-* the sharded-service invariants: ``sharded_capacity_speedup`` (the sum
-  of per-shard warm rates, each shard driven alone — core-count
-  independent) must stay above ``--min-sharded-speedup`` (default 1.5)
-  and ``shard_balance`` (max/mean per-shard load under the concurrent
-  hammer) must stay below ``--max-shard-balance`` (default 2.0).  The
-  honest wall-clock ratio ``sharded_wallclock_speedup`` is additionally
-  floored at parity — but only on hosts whose recorded ``host.cpus``
-  covers the shard count, because a 16-thread hammer on a 1-CPU runner
-  measures the GIL, not the sharded architecture;
 * the scenario-matrix artifact (``benchmarks/bench_scenarios.py``) must
   clear its per-family bandwidth-reduction floors, and the power-law
   transformation must reduce the BFS level count on the heavy-tailed
@@ -213,65 +204,6 @@ def check_profiler_overhead(results: dict, max_overhead_pct: float) -> list:
             f"off {payload.get('warm_ms_per_request', 0):.4f}ms per "
             f"request)"
         )
-    return problems
-
-
-def check_sharded_invariant(results: dict, min_sharded_speedup: float,
-                            max_shard_balance: float) -> list:
-    """Sharded warm throughput and load-balance floors.
-
-    The enforced speedup metric is the *capacity* ratio: the sum of each
-    shard's warm rate with that shard driven alone, over the same sum for
-    a single shard.  Both sides are measured back-to-back on the same
-    machine and neither needs more than one busy core at a time, so the
-    ratio reflects the sharded architecture (per-request overhead, routing
-    cost, cache partitioning) rather than the runner's core budget.  The
-    wall-clock hammer ratio is enforced at parity only when the recorded
-    ``host.cpus`` covers the shard count — on smaller hosts all shards
-    time-slice one GIL and the ratio is reported, not gated.
-    """
-    problems = []
-    payload = results.get("service_throughput")
-    if payload is None:
-        return problems
-    ratio = payload.get("sharded_capacity_speedup")
-    n_shards = payload.get("n_shards") or 4
-    if ratio is None:
-        problems.append(
-            "service_throughput artifact lacks 'sharded_capacity_speedup'"
-        )
-    elif ratio < min_sharded_speedup:
-        problems.append(
-            f"sharded (N={n_shards}) warm capacity is only {ratio:.2f}x "
-            f"single-shard (must stay >= {min_sharded_speedup:.2f}x; "
-            f"{payload.get('shard_capacity_requests_per_s', 0):.0f}/s vs "
-            f"{payload.get('single_shard_capacity_requests_per_s', 0):.0f}/s)"
-        )
-    balance = payload.get("shard_balance")
-    if balance is None:
-        problems.append("service_throughput artifact lacks 'shard_balance'")
-    elif balance > max_shard_balance:
-        problems.append(
-            f"shard load balance {balance:.2f} (max/mean) exceeds "
-            f"{max_shard_balance:.2f} "
-            f"(per-shard loads {payload.get('shard_loads')})"
-        )
-    wall = payload.get("sharded_wallclock_speedup")
-    cpus = (payload.get("host") or {}).get("cpus") or 1
-    if wall is not None:
-        if cpus >= n_shards and wall < 1.0:
-            problems.append(
-                f"sharded (N={n_shards}) wall-clock hammer rate is only "
-                f"{wall:.2f}x single-shard on a {cpus}-cpu host — sharding "
-                "must not lose to the unsharded service when the cores "
-                "exist"
-            )
-        elif cpus < n_shards:
-            print(
-                f"note: sharded wall-clock ratio {wall:.2f}x reported but "
-                f"not gated (host has {cpus} cpu(s) for {n_shards} shards; "
-                "capacity ratio carries the floor)"
-            )
     return problems
 
 
@@ -464,13 +396,6 @@ def main(argv=None) -> int:
     parser.add_argument("--min-batch-speedup", type=float, default=1.3,
                         help="required batched-admission vs per-request "
                              "dispatch rate ratio")
-    parser.add_argument("--min-sharded-speedup", type=float, default=1.5,
-                        help="required sharded-vs-single-shard warm "
-                             "capacity ratio (per-shard rates summed, "
-                             "each shard driven alone)")
-    parser.add_argument("--max-shard-balance", type=float, default=2.0,
-                        help="allowed max/mean per-shard load ratio under "
-                             "the concurrent hammer workload")
     parser.add_argument("--max-profiler-overhead-pct", type=float,
                         default=3.0,
                         help="always-enforced budget for the sampling "
@@ -554,8 +479,6 @@ def main(argv=None) -> int:
     enforced += check_speedup_invariant(results, args.min_speedup)
     enforced += check_service_invariant(results, args.min_hit_speedup)
     enforced += check_batch_invariant(results, args.min_batch_speedup)
-    enforced += check_sharded_invariant(results, args.min_sharded_speedup,
-                                        args.max_shard_balance)
     enforced += check_warm_rate_floor(results, baselines,
                                       args.max_warm_slowdown)
     enforced += check_profiler_overhead(results,

@@ -28,21 +28,21 @@ Every intentional failure derives from :class:`repro.errors.ReproError`
 (see :mod:`repro.errors` for the hierarchy).  The pre-facade entry points
 (``reverse_cuthill_mckee``, ``orderings.api.order``) finished their
 deprecation cycle in 1.2 and now raise
-:class:`repro.errors.RemovedAPIError`; see ``docs/api.md`` for the
-migration guide.
+:class:`repro.errors.RemovedAPIError`, as do the retired in-process
+sharding names (:data:`repro.service.REMOVED`); see ``docs/api.md`` for
+the migration guide.
 """
 
 from repro import backends, errors
 from repro.sparse import CSRMatrix, coo_to_csr, bandwidth
 from repro.core.api import reverse_cuthill_mckee, ReorderResult, METHODS
 from repro.facade import reorder, reorder_many, ALGORITHMS
+from repro import service
 from repro.service import (
     AsyncReorderService,
     PermutationCache,
     ReorderService,
     ServiceConfig,
-    ShardedCache,
-    ShardedService,
 )
 from repro.core import (
     cuthill_mckee,
@@ -67,8 +67,6 @@ __all__ = [
     "reorder_many",
     "ALGORITHMS",
     "ReorderService",
-    "ShardedService",
-    "ShardedCache",
     "AsyncReorderService",
     "ServiceConfig",
     "PermutationCache",
@@ -86,3 +84,9 @@ __all__ = [
     "GPUCostModel",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name in service.REMOVED:
+        return getattr(service, name)  # raises RemovedAPIError
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

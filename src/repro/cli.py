@@ -335,7 +335,7 @@ def cmd_serve(args) -> int:
     import time
 
     from repro import telemetry
-    from repro.service import ReorderService, ServiceConfig, ShardedService
+    from repro.service import ReorderService, ServiceConfig
 
     if getattr(args, "telemetry", None):
         telemetry.enable()
@@ -345,7 +345,7 @@ def cmd_serve(args) -> int:
     prof = None
     if getattr(args, "profile", False):
         # continuous sampling profiler: telemetry must record so samples
-        # get span/phase/shard attribution; /debug/flame picks the
+        # get span/phase attribution; /debug/flame picks the
         # profiler up automatically when --listen is also given
         from repro.telemetry import profiler as profmod
 
@@ -397,20 +397,9 @@ def cmd_serve(args) -> int:
         for s in (signal.SIGTERM, signal.SIGINT):
             old_handlers[s] = signal.signal(s, _on_signal)
 
-    shards = getattr(args, "shards", 1) or 1
-    if shards < 1:
-        print("serve: --shards must be >= 1", file=sys.stderr)
-        return 2
-    # one shard is the classic service; more route by content hash onto
-    # independent cache/admission units (disk tiers under shard-<i>/)
-    make_service = (
-        (lambda: ReorderService(cfg)) if shards == 1
-        else (lambda: ShardedService(cfg, shards=shards))
-    )
-
     t_total = time.perf_counter()
     try:
-        with make_service() as svc:
+        with ReorderService(cfg) as svc:
             if getattr(args, "listen", None) is not None:
                 from repro.telemetry.prometheus import MetricsServer
 
@@ -494,13 +483,6 @@ def cmd_serve(args) -> int:
             print(f"profiler: {prof.sample_count} stack samples at "
                   f"{prof.hz:g} Hz (self-overhead "
                   f"{prof.overhead_pct:.2f}%)")
-        if "shards" in stats:
-            print(f"shards: {stats['healthy_shards']}/{stats['n_shards']} "
-                  "healthy; requests per shard: "
-                  + ", ".join(
-                      f"{s['shard_id']}={s['service.requests']}"
-                      for s in stats["shards"]
-                  ))
     if getattr(args, "telemetry", None):
         # the final flush runs on every exit path, signal-driven included
         n = telemetry.get().write_jsonl(
@@ -792,119 +774,66 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_cache(args) -> int:
-    """``cache``: inspect or invalidate a disk-tier permutation cache.
-
-    Shard-aware: a root holding ``shard-<i>`` subdirectories (the layout
-    :class:`~repro.service.ShardedService` persists) is iterated whole —
-    listing, ``--invalidate`` and ``--clear`` sweep every shard tier —
-    and ``--shard i`` narrows any operation to one shard.  A directory
-    without shard subdirectories is a single anonymous tier, exactly the
-    pre-sharding behavior.  ``--invalidate`` reports how many tiers (and
-    which shards) actually dropped the key — a resharded key can live in
-    several shards' directories at once.
-    """
+    """``cache``: inspect or invalidate a disk-tier permutation cache."""
     import json
     import time
 
     from repro.service import PermutationCache
-    from repro.service.router import discover_shard_dirs
 
     cache_dir = Path(args.cache_dir)
-    shard_dirs = discover_shard_dirs(cache_dir)
-    if getattr(args, "shard", None) is not None:
-        if not shard_dirs:
-            print(f"{cache_dir} has no shard-* tiers (unsharded layout); "
-                  "--shard does not apply", file=sys.stderr)
-            return 1
-        narrowed = [(i, d) for i, d in shard_dirs if i == args.shard]
-        if not narrowed:
-            print(f"no shard-{args.shard} tier under {cache_dir}",
-                  file=sys.stderr)
-            return 1
-        shard_dirs = narrowed
-    # (shard index, tier directory); index None = unsharded single tier
-    tiers = shard_dirs if shard_dirs else [(None, cache_dir)]
-
     if args.invalidate:
         # the listing truncates digests to 16 chars, so accept any
-        # prefix that is unambiguous across every targeted tier
+        # unambiguous prefix of a stored digest
         digest = args.invalidate
-        matches = {
-            p.stem
-            for _i, d in tiers if d.exists()
-            for p in d.glob("*.npz") if p.stem.startswith(digest)
-        }
+        matches = [
+            p.stem for p in cache_dir.glob("*.npz")
+            if p.stem.startswith(digest)
+        ] if cache_dir.exists() else []
         if len(matches) > 1:
             print(f"ambiguous digest prefix {digest} "
                   f"({len(matches)} matches)", file=sys.stderr)
             return 1
         if matches:
-            digest = matches.pop()
-        dropped = []
-        for i, d in tiers:
-            n_tiers = PermutationCache(disk_dir=d).invalidate(digest)
-            if n_tiers:
-                dropped.append((i, n_tiers))
-        total = sum(n for _, n in dropped)
-        if not total:
+            digest = matches[0]
+        if not PermutationCache(disk_dir=cache_dir).invalidate(digest):
             print(f"no entry for {digest}")
             return 1
-        where = ", ".join(
-            "disk" if i is None else f"shard {i} disk" for i, _ in dropped
-        )
-        print(f"removed {digest} from {total} tier(s): {where}")
+        print(f"removed {digest}")
         return 0
 
     if args.clear:
-        total = 0
-        per_shard = []
-        for i, d in tiers:
-            n_before = (
-                len(PermutationCache.disk_entries(d)) if d.exists() else 0
-            )
-            PermutationCache(disk_dir=d).clear(purge_disk=True)
-            total += n_before
-            if i is not None:
-                per_shard.append(f"shard {i}: {n_before}")
-        detail = f" ({', '.join(per_shard)})" if per_shard else ""
-        print(f"cleared {total} entries from {cache_dir}{detail}")
+        n_before = (
+            len(PermutationCache.disk_entries(cache_dir))
+            if cache_dir.exists() else 0
+        )
+        PermutationCache(disk_dir=cache_dir).clear(purge_disk=True)
+        print(f"cleared {n_before} entries from {cache_dir}")
         return 0
 
     if not cache_dir.exists():
         print(f"no cache directory at {cache_dir}", file=sys.stderr)
         return 1
-    entries = []
-    for i, d in tiers:
-        for e in (PermutationCache.disk_entries(d) if d.exists() else []):
-            if i is not None:
-                e["shard"] = i
-            entries.append(e)
+    entries = PermutationCache.disk_entries(cache_dir)
     if args.json:
         print(json.dumps(entries, indent=2, sort_keys=True))
         return 0
     if not entries:
         print(f"{cache_dir}: empty")
         return 0
-    sharded = shard_dirs and any("shard" in e for e in entries)
     now = time.time()
-    shard_hdr = f"{'shard':>5s} " if sharded else ""
-    print(f"{'digest':<16s} {shard_hdr}{'alg':<10s} {'method':<12s} "
+    print(f"{'digest':<16s} {'alg':<10s} {'method':<12s} "
           f"{'n':>8s} {'nnz':>10s} {'bytes':>10s}  age")
     for e in entries:
-        shard_col = f"{e.get('shard', 0):>5d} " if sharded else ""
         if "error" in e:
-            print(f"{e['digest'][:16]:<16s} {shard_col}<unreadable>")
+            print(f"{e['digest'][:16]:<16s} <unreadable>")
             continue
         age = now - (e.get("created") or now)
-        print(f"{e['digest'][:16]:<16s} {shard_col}"
+        print(f"{e['digest'][:16]:<16s} "
               f"{e.get('algorithm', '?'):<10s} "
               f"{e.get('method', '?'):<12s} {e.get('n', 0):>8d} "
               f"{e.get('nnz', 0):>10d} {e.get('perm_bytes', 0):>10d}  "
               f"{age:7.1f}s")
-    n_tier_txt = (
-        f" across {len(tiers)} shard tier(s)" if shard_dirs else ""
-    )
-    print(f"{len(entries)} entries in {cache_dir}{n_tier_txt}")
+    print(f"{len(entries)} entries in {cache_dir}")
     return 0
 
 
@@ -1042,12 +971,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", default="rcm", choices=list(ALGORITHMS))
     p.add_argument("--method", default="auto", choices=methods)
     p.add_argument("--workers", type=int, default=2,
-                   help="service worker threads per shard (default: 2)")
-    p.add_argument("--shards", type=int, default=1,
-                   help="consistent-hash service shards; each owns its own "
-                        "cache, disk tier (shard-<i>/ under --cache-dir), "
-                        "queue and admission thread (default: 1 = the "
-                        "classic unsharded service)")
+                   help="service worker threads (default: 2)")
     p.add_argument("--repeat", type=int, default=1,
                    help="cycle the workload N times (exercises the cache)")
     p.add_argument("--capacity", type=int, default=128,
@@ -1182,17 +1106,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "cache", help="inspect or invalidate a disk permutation cache"
     )
-    p.add_argument("cache_dir",
-                   help="disk cache tier directory (a sharded root with "
-                        "shard-<i>/ subdirectories is iterated whole)")
-    p.add_argument("--shard", type=int, default=None, metavar="I",
-                   help="target one shard's tier of a sharded cache root")
+    p.add_argument("cache_dir", help="disk cache tier directory")
     p.add_argument("--invalidate", metavar="DIGEST", default=None,
-                   help="remove one entry by its content-hash digest; "
-                        "reports every tier (per shard) that dropped it")
+                   help="remove one entry by its content-hash digest "
+                        "(any unambiguous prefix)")
     p.add_argument("--clear", action="store_true",
-                   help="remove every entry (all shard tiers unless "
-                        "--shard narrows it)")
+                   help="remove every entry")
     p.add_argument("--json", action="store_true",
                    help="machine-readable entry listing")
     p.set_defaults(func=cmd_cache)

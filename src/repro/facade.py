@@ -25,13 +25,9 @@ enough components to feed it (see
 :func:`repro.backends.resolve_auto_method`).  Every RCM method returns the
 identical permutation.
 
-Passing ``cache=`` (a :class:`repro.service.PermutationCache`, a
-:class:`repro.service.ShardedCache`, or a disk-tier directory path) makes
-the call content-addressed: a pattern + options seen before is served from
-the cache without recomputation.  With ``shards=N`` a path spec
-materializes as an N-way :class:`~repro.service.ShardedCache` (per-shard
-``shard-<i>`` disk directories behind a consistent-hash ring — the same
-layout :class:`repro.service.ShardedService` serves from).
+Passing ``cache=`` (a :class:`repro.service.PermutationCache` or a
+disk-tier directory path) makes the call content-addressed: a pattern +
+options seen before is served from the cache without recomputation.
 :class:`repro.service.ReorderService` builds coalescing and admission
 control on top of the same path.
 
@@ -91,26 +87,29 @@ if __doc__ is not None:  # pragma: no branch - absent only under -OO
     )
 
 
-def _resolve_cache(cache, shards: int):
-    """Materialize the ``cache=``/``shards=`` spec into a cache object.
+def _resolve_cache(cache):
+    """Materialize the ``cache=`` spec into a cache object.
 
-    A cache *object* (``PermutationCache``/``ShardedCache`` — anything
-    with ``get``/``put``) passes through unchanged; a ``str``/``Path``
-    names a disk-tier root and builds a :class:`PermutationCache` at
-    ``shards=1`` or an N-way :class:`ShardedCache` (``shard-<i>``
-    subdirectories) above that.  ``shards`` only shapes how a path spec
-    materializes — with ``cache=None`` there is nothing to shard.
+    A cache *object* (anything with ``get``/``put``, typically a
+    :class:`PermutationCache`) passes through unchanged; a ``str``/``Path``
+    names a disk-tier directory and builds a :class:`PermutationCache`
+    over it.
     """
-    check_min("shards", shards, 1)
     if cache is None or not isinstance(cache, (str, Path)):
         return cache
-    if shards > 1:
-        from repro.service.router import ShardedCache
-
-        return ShardedCache(cache, shards)
     from repro.service.cache import PermutationCache
 
     return PermutationCache(disk_dir=cache)
+
+
+def _check_config(config) -> None:
+    """``config`` overrides the simulated machine of the ``batch-*``
+    methods, so it must be a :class:`BatchConfig` (or ``None``)."""
+    if config is not None and not isinstance(config, BatchConfig):
+        raise ValidationError(
+            "config must be a BatchConfig (the batch-* methods' simulated "
+            f"machine) or None; got {type(config).__qualname__}"
+        )
 
 
 def _algorithm_fn(algorithm: str):
@@ -150,7 +149,6 @@ def reorder(
     seed: int = 0,
     transform: Optional[str] = None,
     cache=None,
-    shards: int = 1,
 ) -> ReorderResult:
     """Reorder a symmetric sparse pattern to reduce its bandwidth.
 
@@ -185,7 +183,9 @@ def reorder(
         ``batch-*`` methods, OS threads for ``"threads"``, worker
         *processes* for ``"parallel"``.
     config:
-        optional :class:`BatchConfig` override for the batch methods.
+        optional :class:`BatchConfig` override for the ``batch-*``
+        methods' simulated machine; anything else raises
+        :class:`~repro.errors.ValidationError`.
     seed:
         interleaving jitter seed for the simulated methods (0 = canonical
         deterministic schedule).
@@ -202,21 +202,13 @@ def reorder(
         carries the byte-identical-across-methods invariant.
         Incompatible with an explicit integer ``start``.
     cache:
-        optional :class:`repro.service.PermutationCache`, N-way
-        :class:`repro.service.ShardedCache`, or a ``str``/``Path`` naming
-        a disk-tier directory (materialized per ``shards``).  When given,
+        optional :class:`repro.service.PermutationCache`, or a
+        ``str``/``Path`` naming a disk-tier directory.  When given,
         the request is keyed on the content hash of the pattern plus the
         permutation-relevant options; a hit returns the cached result
         (permutation bit-identical to recomputation) with
         ``phase_ns={"cache": <lookup ns>}``, a miss computes and
         populates the cache.
-    shards:
-        how a ``str``/``Path`` ``cache`` spec materializes: ``1``
-        (default) builds one :class:`~repro.service.PermutationCache`,
-        ``N > 1`` an N-way consistent-hash
-        :class:`~repro.service.ShardedCache` with per-shard ``shard-<i>``
-        disk directories.  Ignored for a cache object (it already knows
-        its sharding) and meaningless without ``cache``.
 
     Returns
     -------
@@ -227,7 +219,8 @@ def reorder(
     mat = as_csr(mat)
     check_choice("algorithm", algorithm, ALGORITHMS)
     check_min("n_workers", n_workers, 1)
-    cache = _resolve_cache(cache, shards)
+    _check_config(config)
+    cache = _resolve_cache(cache)
 
     def compute() -> ReorderResult:
         if algorithm == "rcm":
@@ -283,7 +276,6 @@ def reorder_many(
     seed: int = 0,
     transform: Optional[str] = None,
     cache=None,
-    shards: int = 1,
 ) -> List[ReorderResult]:
     """Reorder a batch of patterns as one amortized dispatch.
 
@@ -302,8 +294,8 @@ def reorder_many(
       **one** executor dispatch (:func:`repro.parallel.map_matrices`):
       CSR payloads travel via the zero-copy shared-memory transport, the
       persistent pool is warmed once and reused;
-    * with ``cache=`` given (cache object or disk-tier path, sharded per
-      ``shards`` exactly as in :func:`reorder`), hits are served per
+    * with ``cache=`` given (cache object or disk-tier path, exactly as
+      in :func:`reorder`), hits are served per
       matrix up front (``phase_ns={"cache": <ns>}``) and only the misses
       are dispatched; every computed result is cached on the way out.
 
@@ -317,7 +309,8 @@ def reorder_many(
     check_min("n_workers", n_workers, 1)
     if algorithm == "rcm":
         check_choice("method", method, backends.method_choices())
-    cache = _resolve_cache(cache, shards)
+    _check_config(config)
+    cache = _resolve_cache(cache)
     if not isinstance(mats, Iterable):
         raise ValidationError(
             f"mats must be an iterable; got {type(mats).__qualname__}"

@@ -14,21 +14,18 @@ with backpressure and a graceful method-degradation chain.
         first = svc.reorder(mat)     # computes and caches
         again = svc.reorder(mat)     # served from the cache, bit-identical
 
-Scaling out, the same machinery shards: :class:`ShardedService` routes
-content-hash keys onto N independent :class:`Shard` units via a
-consistent-hash :class:`HashRing` (per-shard LRU + disk tiers that
-survive resharding), and :class:`AsyncReorderService` puts an awaitable
-front door on either flavor::
-
-    from repro.service import ShardedService
-
-    with ShardedService(shards=4) as svc:
-        res = svc.reorder(mat)       # routed by content hash, bit-identical
+:class:`ReorderService` is the one serving unit; the parallelism lives
+inside each reordering, not across service copies.
+:class:`AsyncReorderService` puts an awaitable front door on it.  The
+in-process sharding layer is retired: reading one of its names raises
+:class:`repro.errors.RemovedAPIError` naming the replacement (see
+:data:`REMOVED`).
 
 See ``docs/service.md`` for cache semantics, coalescing guarantees and the
 telemetry taxonomy.
 """
 
+from repro.errors import RemovedAPIError
 from repro.service.keys import CacheKey, cache_key, pattern_digest
 from repro.service.cache import CacheStats, PermutationCache
 from repro.service.core import (
@@ -37,10 +34,8 @@ from repro.service.core import (
     ServiceError,
     ServiceOverloadedError,
     ServiceTimeoutError,
-    Shard,
     fallback_chain,
 )
-from repro.service.router import HashRing, ShardedCache, ShardedService
 from repro.service.aio import AsyncReorderService
 
 __all__ = [
@@ -49,15 +44,30 @@ __all__ = [
     "pattern_digest",
     "CacheStats",
     "PermutationCache",
-    "Shard",
     "ReorderService",
-    "ShardedCache",
-    "ShardedService",
     "AsyncReorderService",
-    "HashRing",
     "ServiceConfig",
     "ServiceError",
     "ServiceOverloadedError",
     "ServiceTimeoutError",
     "fallback_chain",
 ]
+
+#: retired names -> the replacement the error message names; read by this
+#: module's ``__getattr__`` and by :mod:`repro`'s
+REMOVED = {
+    "ShardedService": "ReorderService (one service; raise "
+                      "ServiceConfig.cache_capacity for a larger working set)",
+    "ShardedCache": "PermutationCache (the one cache a ReorderService owns)",
+    "HashRing": "ReorderService (no router: one service owns every key)",
+    "Shard": "ReorderService (the serving unit it was the base class of)",
+}
+
+
+def __getattr__(name: str):
+    if name in REMOVED:
+        raise RemovedAPIError(
+            f"repro.service.{name} was removed; use "
+            f"repro.service.{REMOVED[name]}"
+        )
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,55 +1,52 @@
-"""Asyncio front door over the (sharded) reordering service.
+"""Asyncio front door over the reordering service.
 
 :class:`AsyncReorderService` lets one event-loop process hold thousands
-of in-flight reorder requests while the shards' thread pools (and the
-fork-pool workers under them) do the computing.  The bridge is thin by
+of in-flight reorder requests while the service's thread pool (and the
+fork-pool workers under it) do the computing.  The bridge is thin by
 design:
 
 * ``submit`` may *block* — backpressure (``submit_timeout > 0``) waits on
   a semaphore — so admission runs in the loop's default executor via
-  ``loop.run_in_executor``; the event loop never stalls on a full shard.
-* The shard's ``concurrent.futures.Future`` is adapted with
+  ``loop.run_in_executor``; the event loop never stalls on a full queue.
+* The service's ``concurrent.futures.Future`` is adapted with
   :func:`asyncio.wrap_future`, so awaiting a result costs no polling and
   no extra thread: the pool thread that resolves the future wakes the
   loop directly.
 * Results, errors and semantics are exactly the synchronous service's —
   same cache keys, same coalescing, same degradation chains, byte-
-  identical permutations — because the same shard machinery runs them.
+  identical permutations — because the same service runs them.
 
 The wrapper owns its backing service only when it created one (the
-``shards=N`` constructor path); wrapping an existing
-:class:`~repro.service.core.ReorderService` or
-:class:`~repro.service.router.ShardedService` leaves lifecycle with the
+``config=`` constructor path); wrapping an existing
+:class:`~repro.service.core.ReorderService` leaves lifecycle with the
 caller unless ``aclose`` is asked to take it.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 from repro.core.api import ReorderResult
 from repro.errors import ServiceTimeoutError
-from repro.service.core import ReorderService, ServiceConfig, Shard
-from repro.service.router import ShardedService
+from repro.service.core import ReorderService, ServiceConfig
 from repro.sparse.csr import CSRMatrix
 
 __all__ = ["AsyncReorderService"]
 
 
 class AsyncReorderService:
-    """Awaitable ``reorder``/``reorder_many`` over shard executors.
+    """Awaitable ``reorder``/``reorder_many`` over a :class:`ReorderService`.
 
     ::
 
-        async with AsyncReorderService(shards=4) as svc:
+        async with AsyncReorderService() as svc:
             res = await svc.reorder(mat)
             many = await svc.reorder_many(mats)
-            depths = svc.queue_depths()   # per-shard in-flight gauge
+            depth = svc.pending           # in-flight computations
 
-    Constructed with ``shards=1`` the backing service is a plain
-    :class:`ReorderService`; with ``shards>1`` a consistent-hash
-    :class:`ShardedService`.  An existing service instance can be passed
+    Constructed with a ``config`` (or none) the wrapper builds and owns a
+    :class:`ReorderService`; an existing service instance can be passed
     as ``service=`` instead (it is not closed by ``aclose`` by default).
     """
 
@@ -57,8 +54,7 @@ class AsyncReorderService:
         self,
         config: Optional[ServiceConfig] = None,
         *,
-        shards: int = 1,
-        service: Optional[Union[Shard, ShardedService]] = None,
+        service: Optional[ReorderService] = None,
     ) -> None:
         if service is not None:
             if config is not None:
@@ -66,13 +62,7 @@ class AsyncReorderService:
             self.service = service
             self._owns_service = False
         else:
-            if shards < 1:
-                raise ValueError("shards must be >= 1")
-            self.service = (
-                ReorderService(config)
-                if shards == 1
-                else ShardedService(config, shards=shards)
-            )
+            self.service = ReorderService(config)
             self._owns_service = True
 
     # ------------------------------------------------------------------
@@ -83,7 +73,7 @@ class AsyncReorderService:
 
         Admission — keying, cache probe, backpressure wait — runs in the
         default executor because it may block; the returned coroutine
-        then awaits the shard future without burning a thread.
+        then awaits the service future without burning a thread.
         """
         loop = asyncio.get_running_loop()
         fut = await loop.run_in_executor(
@@ -129,16 +119,9 @@ class AsyncReorderService:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def queue_depths(self) -> List[int]:
-        """Pending computations per shard (one entry for an unsharded
-        backing service) — the front end's queue-depth gauges."""
-        if isinstance(self.service, ShardedService):
-            return self.service.queue_depths()
-        return [self.service.pending]
-
     @property
     def pending(self) -> int:
-        """Total queued-plus-running computations on the backing service."""
+        """Queued-plus-running computations on the backing service."""
         return self.service.pending
 
     def stats(self) -> dict:

@@ -27,7 +27,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -104,13 +104,6 @@ class PermutationCache:
         configured).
     disk_dir:
         optional directory for the persistent tier; created on first use.
-    fallback_dirs:
-        read-only sibling disk tiers probed after a ``disk_dir`` miss.
-        A hit from a fallback directory is promoted — installed in memory
-        and rewritten under ``disk_dir`` — but the foreign file is never
-        touched.  :class:`repro.service.ShardedService` points each shard
-        at its siblings' directories so entries that a resharding remapped
-        to a different shard still warm-hit from disk.
     """
 
     def __init__(
@@ -118,13 +111,11 @@ class PermutationCache:
         capacity: int = 128,
         *,
         disk_dir: Optional[Union[str, Path]] = None,
-        fallback_dirs: Sequence[Union[str, Path]] = (),
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
-        self.fallback_dirs = tuple(Path(d) for d in fallback_dirs)
         self.stats = CacheStats()
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, dict]" = OrderedDict()
@@ -160,9 +151,9 @@ class PermutationCache:
             )
         os.replace(tmp, path)
 
-    @staticmethod
-    def _read_npz(path: Path) -> Optional[dict]:
-        if not path.exists():
+    def _disk_read(self, digest: str) -> Optional[dict]:
+        path = self._disk_path(digest)
+        if path is None or not path.exists():
             return None
         try:
             with np.load(path) as npz:
@@ -174,20 +165,6 @@ class PermutationCache:
         except (OSError, KeyError, ValueError, json.JSONDecodeError):
             # a torn/foreign file is a miss, never an error
             return None
-
-    def _disk_read(self, digest: str) -> Optional[dict]:
-        path = self._disk_path(digest)
-        if path is None:
-            return None
-        return self._read_npz(path)
-
-    def _fallback_read(self, digest: str) -> Optional[dict]:
-        """Probe sibling tiers read-only (resharded keys land here)."""
-        for directory in self.fallback_dirs:
-            entry = self._read_npz(directory / f"{digest}.npz")
-            if entry is not None:
-                return entry
-        return None
 
     # ------------------------------------------------------------------
     # public API
@@ -210,17 +187,10 @@ class PermutationCache:
                 return _result_from_entry(entry)
         # slow tier outside the lock: the read is idempotent
         entry = self._disk_read(key.digest)
-        promoted = False
-        if entry is None and self.fallback_dirs:
-            entry = self._fallback_read(key.digest)
-            promoted = entry is not None
         if entry is not None:
             with self._lock:
                 self._install(key.digest, entry)
                 self._tally(count, "hits", "disk_hits")
-            if promoted:
-                # adopt the resharded entry: one write, into our own tier
-                self._disk_write(key.digest, entry)
             return _result_from_entry(entry)
         with self._lock:
             self._tally(count, "misses")
@@ -254,8 +224,8 @@ class PermutationCache:
 
         Returns how many tiers actually held (and dropped) the key — 0
         when it was cached nowhere, 1 for memory *or* disk, 2 for both —
-        so callers (``repro cache --invalidate``, the sharded service) can
-        report exactly what an invalidation removed.  The count is truthy
+        so callers (``repro cache --invalidate``) can report exactly what
+        an invalidation removed.  The count is truthy
         exactly when anything was removed, preserving the historical
         boolean reading.
         """

@@ -1,14 +1,9 @@
 """The in-process reordering service: cache, coalescing, bounded queue.
 
-The unit of serving here is the :class:`Shard`: one cache + coalescing map
-+ bounded admission queue + (optional) batched-admission thread.
-:class:`ReorderService` — the historical public API, unchanged — *is* a
-single anonymous shard; :class:`repro.service.router.ShardedService`
-composes N of them behind a consistent-hash router and
-:class:`repro.service.aio.AsyncReorderService` puts an asyncio front door
-on either.  A shard constructed with a ``shard_id`` mirrors its counters
-to ``service.shard.<i>.*`` and stamps the id into every request's
-:class:`~repro.telemetry.context.TraceContext`.
+:class:`ReorderService` is the one serving unit — one cache, one
+coalescing map, one bounded admission queue and, optionally, one
+batched-admission thread; :class:`repro.service.aio.AsyncReorderService`
+puts an asyncio front door on it.
 
 :class:`ReorderService` fronts :func:`repro.reorder` with the three things
 a traffic-serving deployment needs:
@@ -83,7 +78,6 @@ from repro.telemetry import context as tctx
 
 __all__ = [
     "ServiceConfig",
-    "Shard",
     "ReorderService",
     "ServiceError",
     "ServiceOverloadedError",
@@ -168,39 +162,6 @@ def fallback_chain(algorithm: str, method: str) -> Tuple[str, ...]:
     return backends.degradation_order(method)
 
 
-def admit_method(
-    algorithm: str,
-    method: str,
-    *,
-    fallback: bool = True,
-    on_fallback=None,
-) -> str:
-    """The method a request is actually admitted on.
-
-    A client may ask for an optional backend that never registered here
-    (GPU build, distributed build...).  With ``fallback`` enabled such a
-    request is admitted on the method's first registered degradation
-    target instead of bouncing with a validation error; ``on_fallback``
-    (called with the *requested* method) lets the caller count the
-    degradation.  Shared by :class:`Shard` and the sharded router — the
-    router must admit *before* hashing the cache key, because the admitted
-    method is part of the key.
-    """
-    if (
-        not fallback
-        or algorithm != "rcm"
-        or method == "auto"
-        or backends.is_registered(method)
-    ):
-        return method
-    for m in backends.degradation_order(method)[1:]:
-        if backends.is_registered(m):
-            if on_fallback is not None:
-                on_fallback(method)
-            return m
-    return method
-
-
 def _call_reorder(mat: CSRMatrix, kwargs: dict) -> ReorderResult:
     """The one seam between the service and the facade (tests patch it)."""
     from repro.facade import reorder
@@ -223,18 +184,25 @@ def _call_reorder_many(
     return reorder_many(mats, **kwargs)
 
 
-class Shard:
-    """One self-contained serving unit: cache + coalescing + admission.
+class ReorderService:
+    """In-process reordering service over :func:`repro.reorder`.
 
-    Everything a single-process service needs lives here — the LRU/disk
+    ::
+
+        with ReorderService() as svc:
+            res = svc.reorder(mat)                  # cold: computes + caches
+            res = svc.reorder(mat)                  # warm: cache hit
+            futs = [svc.submit(m) for m in mats]    # async fan-out
+
+    Permutations are bit-identical to ``repro.reorder(mat, ...)`` — cold
+    and warm — because cache keys are content hashes of the exact pattern
+    plus options.
+
+    Everything a serving process needs lives here — the LRU/disk
     :class:`~repro.service.cache.PermutationCache`, the in-flight
     coalescing map, the backpressure semaphore and the optional
-    batched-admission thread.  Constructed bare it *is* the classic
-    service (see :class:`ReorderService`); constructed with a ``shard_id``
-    by :class:`repro.service.router.ShardedService` it additionally
-    mirrors counters to ``service.shard.<i>.*``, maintains the
-    ``service.shard.<i>.queue.depth`` gauge, and stamps the shard id into
-    each request's trace context.
+    batched-admission thread.  For an awaitable front end see
+    :class:`repro.service.AsyncReorderService`.
     """
 
     def __init__(
@@ -242,10 +210,8 @@ class Shard:
         config: Optional[ServiceConfig] = None,
         *,
         cache: Optional[PermutationCache] = None,
-        shard_id: Optional[int] = None,
     ) -> None:
         self.config = config if config is not None else ServiceConfig()
-        self.shard_id = shard_id
         # explicit None check: an empty PermutationCache is falsy (__len__)
         self.cache = cache if cache is not None else PermutationCache(
             self.config.cache_capacity, disk_dir=self.config.disk_dir
@@ -293,28 +259,21 @@ class Shard:
         start: Union[int, str] = "min-valence",
         n_workers: int = 4,
         symmetrize: bool = False,
-        _key: Optional[CacheKey] = None,
     ) -> "Future[ReorderResult]":
         """Enqueue one request; returns a future of its ReorderResult.
 
         The future is already resolved on a cache hit, shared with the
         in-flight leader on a coalesced duplicate, and backed by a fresh
-        pool task otherwise.  ``_key`` is the router's private fast path:
-        the sharded service admits and hashes exactly once, routes on the
-        digest, then hands the finished key to the owning shard (``method``
-        must already be the admitted method the key was built from).
+        pool task otherwise.
         """
         if self._closed:
             raise ServiceError("service is closed")
         mat = as_csr(mat)
-        if _key is not None:
-            key = _key
-        else:
-            method = self._admit_method(algorithm, method)
-            key = cache_key(
-                mat, algorithm=algorithm, method=method, start=start,
-                symmetrize=symmetrize,
-            )
+        method = self._admit_method(algorithm, method)
+        key = cache_key(
+            mat, algorithm=algorithm, method=method, start=start,
+            symmetrize=symmetrize,
+        )
         self._count("requests")
 
         t_lookup = time.perf_counter_ns()
@@ -373,9 +332,7 @@ class Shard:
             # at admission so the pool thread, the parallel workers and
             # any facade re-entry all stamp the same trace_id
             ctx = (
-                tctx.new_trace_context(
-                    request_id=key.digest[:12], shard_id=self.shard_id
-                )
+                tctx.new_trace_context(request_id=key.digest[:12])
                 if telemetry.get().enabled else None
             )
             if self._admission_thread is not None:
@@ -448,21 +405,29 @@ class Shard:
         return self.reorder_many(mats, **options)
 
     def _admit_method(self, algorithm: str, method: str) -> str:
-        """Degrade a request for a method this install does not have.
+        """The method a request is actually admitted on.
 
-        Delegates to :func:`admit_method`; the degradation is counted as
-        ``service.fallbacks.<method>``, like any other degradation,
-        instead of bouncing with a validation error.
+        A client may ask for an optional backend that never registered
+        here (GPU build, distributed build...).  With ``fallback`` enabled
+        such a request is admitted on the method's first registered
+        degradation target, counted as ``service.fallbacks.<method>`` like
+        any other degradation, instead of bouncing with a validation
+        error.  It runs before the cache key is hashed, because the
+        admitted method is part of the key.
         """
-
-        def _degraded(requested: str) -> None:
-            self._count("fallbacks")
-            record_fallback(requested, prefix="service")
-
-        return admit_method(
-            algorithm, method,
-            fallback=self.config.fallback, on_fallback=_degraded,
-        )
+        if (
+            not self.config.fallback
+            or algorithm != "rcm"
+            or method == "auto"
+            or backends.is_registered(method)
+        ):
+            return method
+        for m in backends.degradation_order(method)[1:]:
+            if backends.is_registered(m):
+                self._count("fallbacks")
+                record_fallback(method, prefix="service")
+                return m
+        return method
 
     # ------------------------------------------------------------------
     # execution
@@ -660,24 +625,12 @@ class Shard:
             self.counters[name] += 1
         tel = telemetry.get()
         if tel.enabled:
-            # aggregate counters sum correctly across shards; a shard
-            # additionally mirrors into its own labeled family
             tel.counter(f"service.{name}").add(1)
-            if self.shard_id is not None:
-                tel.counter(f"service.shard.{self.shard_id}.{name}").add(1)
 
     def _set_depth(self) -> None:
         tel = telemetry.get()
         if tel.enabled:
-            if self.shard_id is None:
-                tel.gauge("service.queue.depth").set(self._pending)
-            else:
-                # per-shard gauge only: N shards last-writer-winning one
-                # global gauge would be noise, and the router sums
-                # ``pending`` for the aggregate anyway
-                tel.gauge(
-                    f"service.shard.{self.shard_id}.queue.depth"
-                ).set(self._pending)
+            tel.gauge("service.queue.depth").set(self._pending)
 
     @property
     def pending(self) -> int:
@@ -689,8 +642,8 @@ class Shard:
     def healthy(self) -> bool:
         """Able to serve: open, with a live admission thread when batched.
 
-        What ``/statusz`` reports per shard — a shard whose batched
-        admission thread died would otherwise park every miss forever.
+        What ``/statusz`` reports — a service whose batched admission
+        thread died would otherwise park every miss forever.
         """
         if self._closed:
             return False
@@ -707,7 +660,7 @@ class Shard:
             counters = dict(self.counters)
         with self._lock:
             pending = self._pending
-        out = {
+        return {
             "pending": pending,
             "max_pending": self.config.max_pending,
             "n_workers": self.config.n_workers,
@@ -715,16 +668,6 @@ class Shard:
             **{f"service.{k}": v for k, v in counters.items()},
             "cache": self.cache.stats_dict(),
         }
-        if self.shard_id is not None:
-            out["shard_id"] = self.shard_id
-            from repro.telemetry import profiler as _profiler
-
-            prof = _profiler.get_profiler()
-            if prof is not None:
-                out["profile_samples"] = prof.samples_by_shard().get(
-                    self.shard_id, 0
-                )
-        return out
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -739,38 +682,9 @@ class Shard:
             self._admission_thread = None
         self._pool.shutdown(wait=wait)
 
-    def __enter__(self) -> "Shard":
+    def __enter__(self) -> "ReorderService":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
 
-
-class ReorderService(Shard):
-    """In-process reordering service over :func:`repro.reorder`.
-
-    ::
-
-        with ReorderService() as svc:
-            res = svc.reorder(mat)                  # cold: computes + caches
-            res = svc.reorder(mat)                  # warm: cache hit
-            futs = [svc.submit(m) for m in mats]    # async fan-out
-
-    Permutations are bit-identical to ``repro.reorder(mat, ...)`` — cold
-    and warm — because cache keys are content hashes of the exact pattern
-    plus options.
-
-    Structurally this is one anonymous :class:`Shard` (``shard_id=None``):
-    the historical single-service API, byte-for-byte unchanged.  For N > 1
-    shards behind a consistent-hash router see
-    :class:`repro.service.ShardedService`; for an awaitable front end see
-    :class:`repro.service.AsyncReorderService`.
-    """
-
-    def __init__(
-        self,
-        config: Optional[ServiceConfig] = None,
-        *,
-        cache: Optional[PermutationCache] = None,
-    ) -> None:
-        super().__init__(config, cache=cache)

@@ -30,12 +30,10 @@ here runs unless telemetry is enabled.
 from __future__ import annotations
 
 import os
-import threading
 import uuid
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.telemetry import spans as _spans
 from repro.telemetry.spans import SpanRecord, _CONTEXT, current_trace
 
 __all__ = [
@@ -63,27 +61,18 @@ class TraceContext:
     request_id: str
     #: span the remote/worker sub-trace should hang off (merge target)
     parent_span_id: Optional[int] = None
-    #: service shard that admitted the request (``None`` outside a
-    #: :class:`repro.service.ShardedService` — plain fields keep the
-    #: context picklable for the process-pool transport)
-    shard_id: Optional[int] = None
 
     def child(self, parent_span_id: Optional[int]) -> "TraceContext":
         """The same trace, re-anchored under a new parent span."""
-        return TraceContext(
-            self.trace_id, self.request_id, parent_span_id, self.shard_id
-        )
+        return TraceContext(self.trace_id, self.request_id, parent_span_id)
 
 
-def new_trace_context(
-    request_id: Optional[str] = None, shard_id: Optional[int] = None
-) -> TraceContext:
+def new_trace_context(request_id: Optional[str] = None) -> TraceContext:
     """A fresh context: random 16-hex trace id, caller-chosen request id."""
     trace_id = uuid.uuid4().hex[:16]
     return TraceContext(
         trace_id=trace_id,
         request_id=request_id if request_id is not None else trace_id,
-        shard_id=shard_id,
     )
 
 
@@ -103,18 +92,11 @@ class _Activation:
         if self._ctx is not None:
             self._prev = getattr(_CONTEXT, "value", None)
             _CONTEXT.value = self._ctx
-            if _spans._MIRROR_ON:  # sampling-profiler attribution
-                _spans._CTX_MIRROR[threading.get_ident()] = self._ctx
         return self._ctx
 
     def __exit__(self, *exc) -> bool:
         if self._ctx is not None:
             _CONTEXT.value = self._prev
-            if _spans._MIRROR_ON:
-                if self._prev is None:
-                    _spans._CTX_MIRROR.pop(threading.get_ident(), None)
-                else:
-                    _spans._CTX_MIRROR[threading.get_ident()] = self._prev
         return False
 
 

@@ -1,20 +1,19 @@
-"""Continuous sampling profiler with span/phase/shard attribution.
+"""Continuous sampling profiler with span/phase attribution.
 
 A daemon thread walks :func:`sys._current_frames` at a configurable rate
 (default ~67 Hz) and aggregates every thread's stack into folded-stack
 counts — the collapsed format flamegraph tools eat directly::
 
-    shard:2;phase:ordering;process:main;cli.py:main;api.py:reorder;... 41
+    phase:ordering;process:main;cli.py:main;api.py:reorder;... 41
 
-The first segments are *attribution*, not frames: which shard and
-pipeline phase the sampled thread was serving when the tick landed.
-Attribution comes from sampler-readable mirrors maintained by
-``telemetry.spans`` / ``telemetry.context`` (the thread-local span stack
-and :class:`~repro.telemetry.context.TraceContext` are invisible from
-another thread, so while a profiler runs, span enter/exit and context
-activation also update plain ``{thread_id: ...}`` dicts; CPython's GIL
-makes the individual dict/list ops atomic, so the sampler reads them
-without locks). The mirrors only tick while a profiler is running —
+The first segments are *attribution*, not frames: which pipeline phase
+the sampled thread was serving when the tick landed, and in which
+process.  Phase attribution comes from a sampler-readable mirror
+maintained by ``telemetry.spans`` (the thread-local span stack is
+invisible from another thread, so while a profiler runs, span
+enter/exit also updates a plain ``{thread_id: [...]}`` dict; CPython's
+GIL makes the individual dict/list ops atomic, so the sampler reads it
+without locks). The mirror only ticks while a profiler is running —
 when off, a span costs one extra module-global bool check.
 
 Fork workers run their own short-lived ``role="worker"`` sampler per
@@ -181,10 +180,6 @@ class SamplingProfiler:
 
     def _fold(self, tid: int, frame) -> str:
         segs: List[str] = []
-        ctx = _spans._CTX_MIRROR.get(tid)
-        shard = getattr(ctx, "shard_id", None)
-        if shard is not None:
-            segs.append(f"shard:{shard}")
         stack = _spans._SPAN_MIRROR.get(tid)
         if stack:
             phase = None
@@ -257,20 +252,6 @@ class SamplingProfiler:
             "samples": self.sample_count,
             "overhead_pct": round(self.overhead_pct, 4),
         }
-
-    def samples_by_shard(self) -> Dict[int, int]:
-        """Sample counts per shard id (keys the ``shard:<i>;`` prefix)."""
-        out: Dict[int, int] = {}
-        with self._lock:
-            for key, count in self._counts.items():
-                if key.startswith("shard:"):
-                    head = key.split(";", 1)[0]
-                    try:
-                        sid = int(head[len("shard:"):])
-                    except ValueError:
-                        continue
-                    out[sid] = out.get(sid, 0) + count
-        return out
 
     def _export_gauges(self) -> None:
         try:

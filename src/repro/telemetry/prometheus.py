@@ -10,11 +10,7 @@ buckets) and writing them directly keeps the dependency budget at zero.
 Naming: dotted instrument names (``service.cache.hits``) become legal
 Prometheus series by swapping separators for ``_``
 (``service_cache_hits_total`` — counters get the conventional ``_total``
-suffix).  Per-shard instruments are the one labeled family: a shard
-mirrors its counters and queue gauge under ``service.shard.<i>.<rest>``,
-and the renderer folds that index into a proper Prometheus label —
-``service_shard_requests_total{shard="2"}`` — so one series family covers
-any shard count.  :data:`METRIC_INVENTORY` is the curated catalogue of the
+suffix).  :data:`METRIC_INVENTORY` is the curated catalogue of the
 families the system emits; ``docs/observability.md`` embeds its rendered
 table verbatim and ``test_doc_drift.py`` keeps the two in lock-step.
 """
@@ -82,73 +78,27 @@ def _fmt(value) -> str:
     return str(int(value))
 
 
-#: shard-mirrored instruments: ``service.shard.<i>.<rest>`` — the index
-#: folds into a ``shard`` label at render time
-_SHARD_NAME = re.compile(r"^service\.shard\.(\d+)\.(.+)$")
-
-
-def _split_shard_series(samples: dict) -> Tuple[dict, dict]:
-    """Partition one kind's samples into plain and shard-labeled series.
-
-    Returns ``(plain, labeled)`` where ``labeled`` maps the de-sharded
-    family name (``service.shard.<rest>``) to ``[(shard, value), ...]``
-    in ascending shard order — one Prometheus family per ``<rest>``, any
-    shard count.
-    """
-    plain: Dict[str, object] = {}
-    labeled: Dict[str, list] = {}
-    for name, value in samples.items():
-        m = _SHARD_NAME.match(name)
-        if m is None:
-            plain[name] = value
-        else:
-            family = f"service.shard.{m.group(2)}"
-            labeled.setdefault(family, []).append((int(m.group(1)), value))
-    for series in labeled.values():
-        series.sort()
-    return plain, labeled
-
-
 def render_prometheus(registry) -> str:
     """Render every instrument of ``registry`` as text exposition.
 
     Counters gain ``_total``; histograms expand to the conventional
     cumulative ``_bucket{le="..."}`` series plus ``_sum`` and ``_count``.
-    Per-shard mirrors (``service.shard.<i>.*``) render as one labeled
-    family per instrument: ``service_shard_<rest>{shard="<i>"}``.
     Families are sorted by name so scrapes diff cleanly.
     """
     snap = registry.to_dict()
     lines: List[str] = []
 
-    counters, shard_counters = _split_shard_series(snap.get("counters", {}))
-    gauges, shard_gauges = _split_shard_series(snap.get("gauges", {}))
-
-    for name, value in counters.items():
+    for name, value in snap.get("counters", {}).items():
         pname = prometheus_name(name, suffix="_total")
         lines.append(f"# HELP {pname} repro counter {name}")
         lines.append(f"# TYPE {pname} counter")
         lines.append(f"{pname} {_fmt(value)}")
 
-    for family in sorted(shard_counters):
-        pname = prometheus_name(family, suffix="_total")
-        lines.append(f"# HELP {pname} repro counter {family} by shard")
-        lines.append(f"# TYPE {pname} counter")
-        for shard, value in shard_counters[family]:
-            lines.append(f'{pname}{{shard="{shard}"}} {_fmt(value)}')
-
-    for name, value in gauges.items():
+    for name, value in snap.get("gauges", {}).items():
         pname = prometheus_name(name)
         lines.append(f"# HELP {pname} repro gauge {name}")
         lines.append(f"# TYPE {pname} gauge")
         lines.append(f"{pname} {_fmt(value)}")
-
-    for family in sorted(shard_gauges):
-        pname = prometheus_name(family)
-        lines.append(f"# HELP {pname} repro gauge {family} by shard")
-        lines.append(f"# TYPE {pname} gauge")
-        for shard, value in shard_gauges[family]:
-            lines.append(f'{pname}{{shard="{shard}"}} {_fmt(value)}')
 
     for name, summary in snap.get("histograms", {}).items():
         pname = prometheus_name(name)
@@ -187,7 +137,6 @@ METRIC_INVENTORY: Tuple[Tuple[str, str, str], ...] = (
     ("service.cache.evictions", "counter", "LRU evictions"),
     ("service.cache.size", "gauge", "entries currently cached"),
     ("service.queue.depth", "gauge", "requests waiting for a slot"),
-    ("service.shard.*", "counter/gauge", "per-shard mirrors of the service counters and queue depth, folded into a `shard=\"<i>\"` label"),
     ("service.hit_latency_ms", "histogram", "wall ms to serve a warm cache hit"),
     ("service.batch.size", "histogram", "requests per batched-admission dispatch group"),
     ("parallel.tasks", "counter", "component tasks dispatched to the pool"),

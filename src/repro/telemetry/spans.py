@@ -36,19 +36,16 @@ def current_trace():
 # ----------------------------------------------------------------------
 # sampling-profiler attribution mirrors
 # ----------------------------------------------------------------------
-# The span stack and active TraceContext live in thread-locals, which the
-# profiler's sampler thread cannot read. While a profiler runs
-# (``_MIRROR_ON``), span enter/exit and context activation additionally
-# maintain these plain ``{thread_id: ...}`` dicts; each individual dict /
-# list operation is atomic under the GIL, so the sampler reads them
-# lock-free. When no profiler runs the only cost on the span hot path is
+# The span stack lives in a thread-local, which the profiler's sampler
+# thread cannot read. While a profiler runs (``_MIRROR_ON``), span
+# enter/exit additionally maintains this plain ``{thread_id: ...}`` dict;
+# each individual dict / list operation is atomic under the GIL, so the
+# sampler reads it lock-free. When no profiler runs the only cost on the span hot path is
 # one module-global bool check.
 
 _MIRROR_ON = False
 #: thread id -> list of ``(span_name, category)``, innermost last
 _SPAN_MIRROR: Dict[int, List[tuple]] = {}
-#: thread id -> active TraceContext
-_CTX_MIRROR: Dict[int, Any] = {}
 
 
 def _set_mirror(on: bool) -> None:
@@ -57,7 +54,6 @@ def _set_mirror(on: bool) -> None:
     _MIRROR_ON = bool(on)
     if not on:
         _SPAN_MIRROR.clear()
-        _CTX_MIRROR.clear()
 
 
 @dataclass

@@ -222,40 +222,28 @@ class TestProseDocs:
                 "'Batched admission' section"
             )
 
-    def test_service_md_documents_sharded_deployment(self):
-        text = (DOCS / "service.md").read_text()
-        for needle in (
-            "## Sharded deployment",
-            "ShardedService",
-            "AsyncReorderService",
-            "HashRing.route",
-            "shard-<i>",
-            "--shards",
-            "--shard 2",
-            'service_shard_requests_total{shard="i"}',
-            'service_shard_queue_depth{shard="i"}',
-            "healthy_shards",
-            "shard_balance",
-        ):
-            assert needle in text, (
-                f"docs/service.md missing {needle!r}; see the "
-                "'Sharded deployment' section"
-            )
-        from repro.service.router import DEFAULT_REPLICAS
-
-        assert f"{DEFAULT_REPLICAS} virtual points" in text, (
-            "docs/service.md virtual-node count is stale; expected "
-            f"'{DEFAULT_REPLICAS} virtual points' "
-            "(from repro.service.router.DEFAULT_REPLICAS)"
-        )
-
-    def test_sharded_deployment_cross_links(self):
-        anchor = "service.md#sharded-deployment"
-        assert anchor in (REPO / "README.md").read_text(), (
-            "README.md must link the sharded deployment section"
-        )
-        assert anchor in (DOCS / "api.md").read_text(), (
-            "docs/api.md must link the sharded deployment section"
+    def test_retired_sharding_named_only_in_the_migration_table(self):
+        # the sharding layer is gone; its names survive only as rows of
+        # docs/api.md's migration table, which map them to the service
+        needles = ("ShardedService", "ShardedCache", "HashRing", "--shards")
+        stray = []
+        for path in [REPO / "README.md", *sorted(DOCS.glob("*.md"))]:
+            section = ""
+            for lineno, line in enumerate(
+                path.read_text().splitlines(), start=1
+            ):
+                if line.startswith("## "):
+                    section = line
+                in_table = (
+                    path.name == "api.md"
+                    and section.startswith("## Migrating")
+                    and line.startswith("|")
+                )
+                if not in_table and any(n in line for n in needles):
+                    stray.append(f"{path.name}:{lineno}: {line.strip()}")
+        assert not stray, (
+            "retired sharding names outside docs/api.md's migration "
+            "table:\n" + "\n".join(stray)
         )
 
     def test_scenarios_md_names_every_family_and_scenario(self):

@@ -27,7 +27,6 @@ from repro.service import (
     PermutationCache,
     ReorderService,
     ServiceConfig,
-    ShardedService,
 )
 from repro.sparse.csr import CSRMatrix, coo_to_csr
 
@@ -159,26 +158,11 @@ class TestServiceMatrix:
         assert warm.permutation.tobytes() == golden(name)
         assert svc.counters["computed"] == 1  # warm came from the cache
 
-    @pytest.mark.parametrize("n_shards", [1, 4])
-    def test_sharded_service_cold_and_warm(self, n_shards):
-        """The consistent-hash router is a placement decision, never a
-        semantic one: any shard count returns the serial golden bytes."""
-        with ShardedService(
-            ServiceConfig(n_workers=2), shards=n_shards
-        ) as svc:
-            for name in MATRICES:
-                cold = svc.reorder(matrix(name), method="serial")
-                assert cold.permutation.tobytes() == golden(name)
-            for name in MATRICES:
-                warm = svc.reorder(matrix(name), method="serial")
-                assert warm.permutation.tobytes() == golden(name)
-            assert svc.stats()["service.computed"] == len(MATRICES)
-
     def test_async_service_cold_and_warm(self):
         import asyncio
 
         async def run():
-            async with AsyncReorderService(shards=2) as svc:
+            async with AsyncReorderService() as svc:
                 cold = await svc.reorder_many(
                     [matrix(name) for name in MATRICES], method="serial"
                 )

@@ -68,6 +68,25 @@ class TestRaisedAtBoundaries:
         with pytest.raises(errors.RemovedAPIError):
             order(small_grid, "rcm")
 
+    @pytest.mark.parametrize("module, name", [
+        ("repro", "ShardedService"),
+        ("repro", "ShardedCache"),
+        ("repro.service", "ShardedService"),
+        ("repro.service", "ShardedCache"),
+        ("repro.service", "HashRing"),
+        ("repro.service", "Shard"),
+    ])
+    def test_removed_sharding_names_raise(self, module, name):
+        import importlib
+
+        mod = importlib.import_module(module)
+        with pytest.raises(errors.RemovedAPIError, match="ReorderService"):
+            getattr(mod, name)
+        assert name not in mod.__all__
+        # an unknown name is still a plain AttributeError
+        with pytest.raises(AttributeError):
+            getattr(mod, name + "Nope")
+
 
 class TestHistoricalImportPaths:
     def test_service_package_reexports(self):

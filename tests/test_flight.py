@@ -3,7 +3,8 @@
 Covers the bounded ring file, the module-level recording switchboard
 (configure / env var / disable), recording through the real ``auto``
 pipeline, the calibration math (scale fitting, mispick detection, tie
-epsilon), and the ``repro telemetry calibrate`` CLI.
+epsilon), the ``transform_ms`` record field, and the ``repro telemetry
+calibrate`` CLI.
 """
 
 import json
@@ -318,3 +319,40 @@ class TestCli:
         assert self._run("telemetry", "inventory") == 0
         out = capsys.readouterr().out
         assert "service_requests_total" in out
+
+
+class TestTransformFlightRecord:
+    def test_record_auto_accepts_transform_ms(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(flight.FLIGHT_ENV_VAR, raising=False)
+        flight.configure(tmp_path / "f.jsonl")
+        try:
+            flight.record_auto(
+                n=10, nnz=40, n_components=1,
+                estimates={"serial": 1.0}, chosen="serial",
+                actual_wall_ms=0.5, transform_ms=3.25,
+            )
+            flight.record_auto(
+                n=10, nnz=40, n_components=1,
+                estimates={"serial": 1.0}, chosen="serial",
+                actual_wall_ms=0.5,
+            )
+            with_t, without_t = flight.read_records(tmp_path / "f.jsonl")
+            assert with_t["transform_ms"] == pytest.approx(3.25)
+            assert "transform_ms" not in without_t
+        finally:
+            flight.disable_recording()
+
+    def test_auto_pipeline_records_transform_phase(
+        self, tmp_path, monkeypatch, medium_grid
+    ):
+        from repro.core.api import _reorder_rcm
+
+        monkeypatch.delenv(flight.FLIGHT_ENV_VAR, raising=False)
+        flight.configure(tmp_path / "auto.jsonl")
+        try:
+            _reorder_rcm(medium_grid, method="auto")
+            (rec,) = flight.read_records(tmp_path / "auto.jsonl")
+            assert "transform_ms" in rec
+            assert rec["transform_ms"] >= 0.0
+        finally:
+            flight.disable_recording()

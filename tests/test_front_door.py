@@ -21,6 +21,7 @@ import repro
 from repro import backends
 from repro.errors import ReproError, ValidationError
 from repro.matrices import generators as g
+from repro.parallel import ParallelConfig
 from repro.service import PermutationCache, ReorderService, pattern_digest
 from repro.sparse.bandwidth import bandwidth
 from repro.sparse.csr import CSRMatrix, coo_to_csr
@@ -217,6 +218,21 @@ class TestInputContract:
         with ReorderService() as svc:
             with pytest.raises(ValidationError, match=name):
                 svc.reorder(obj)
+
+    @pytest.mark.parametrize("method", ["batch-cpu", "serial"])
+    @pytest.mark.parametrize(
+        "config", [ParallelConfig(n_workers=2), 5, "batch"],
+        ids=["ParallelConfig", "int", "str"],
+    )
+    def test_config_must_be_a_batch_config(self, config, method):
+        mat = g.grid2d(10, 10)
+        name = type(config).__qualname__
+        for call in (
+            lambda: repro.reorder(mat, method=method, config=config),
+            lambda: repro.reorder_many([mat], method=method, config=config),
+        ):
+            with pytest.raises(ValidationError, match=name):
+                call()
 
     def test_reorder_many_needs_an_iterable(self):
         with pytest.raises(ValidationError, match="iterable"):

@@ -5,22 +5,29 @@ bit-identity with ``method="serial"``, request coalescing (exactly one
 underlying computation for concurrent duplicates, observable through the
 ``service.coalesced`` counter), bounded-queue backpressure, per-request
 timeouts, the graceful-degradation chain, the disk cache tier and explicit
-invalidation.  The cross-method value battery lives in
+invalidation, exactly-one-computation per key under a 16-thread hammer,
+the asyncio front door and the ``repro cache`` CLI over a disk tier.
+The cross-method value battery lives in
 ``test_equivalence_matrix.py``; cache-key properties in
 ``test_service_properties.py``.
 """
 
 from __future__ import annotations
 
+import asyncio
+import json
 import threading
+import time
 
 import numpy as np
 import pytest
 
 import repro.service.core as service_core
 from repro import telemetry
+from repro.cli import main as cli_main
 from repro.facade import reorder
 from repro.service import (
+    AsyncReorderService,
     PermutationCache,
     ReorderService,
     ServiceConfig,
@@ -423,3 +430,189 @@ class TestLifecycle:
             svc.reorder(small_grid)
         names = [s.name for s in tel.tracer.records()]
         assert "service.request" in names
+
+
+class TestConcurrentHammer:
+    N_THREADS = 16
+
+    def test_hammer_exactly_one_computation_per_key(
+        self, tmp_path, monkeypatch
+    ):
+        # guards the settle/lookup race in ``submit``: a twin that finished
+        # between a thread's cache miss and its slot must not be recomputed
+        cfg = ServiceConfig(n_workers=2, max_pending=256, disk_dir=tmp_path)
+        mats = [random_symmetric(60, 0.05, seed=100 + i) for i in range(24)]
+
+        computed = {}  # pattern digest -> underlying computations
+        written = {}  # cache-key digest -> disk-tier writes
+        lock = threading.Lock()
+        real_call = service_core._call_reorder
+        real_write = PermutationCache._disk_write
+
+        def counting_call(mat, kwargs):
+            d = pattern_digest(mat)
+            with lock:
+                computed[d] = computed.get(d, 0) + 1
+            return real_call(mat, kwargs)
+
+        def counting_write(cache, digest, entry):
+            with lock:
+                written[digest] = written.get(digest, 0) + 1
+            real_write(cache, digest, entry)
+
+        monkeypatch.setattr(service_core, "_call_reorder", counting_call)
+        monkeypatch.setattr(PermutationCache, "_disk_write", counting_write)
+
+        barrier = threading.Barrier(self.N_THREADS)
+        results = [None] * self.N_THREADS
+        errors = []
+
+        with ReorderService(cfg) as svc:
+            def worker(slot):
+                try:
+                    barrier.wait(timeout=10)
+                    futs = [svc.submit(m) for m in mats]
+                    results[slot] = [
+                        f.result(timeout=60).permutation.tobytes()
+                        for f in futs
+                    ]
+                except Exception as exc:  # pragma: no cover - diagnostics
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=worker, args=(s,))
+                for s in range(self.N_THREADS)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not errors, errors
+
+        assert computed == {pattern_digest(m): 1 for m in mats}
+        assert all(r == results[0] for r in results[1:])
+        expect = [reorder(m, method="serial").permutation.tobytes() for m in mats]
+        assert results[0] == expect
+        digests = {cache_key(m).digest for m in mats}
+        assert written == {d: 1 for d in digests}
+        assert {p.stem for p in tmp_path.glob("*.npz")} == digests
+
+    def test_twin_settled_after_a_miss_is_served_not_recomputed(
+        self, gated, small_grid
+    ):
+        # the hammer's race, forced: the leader computes, caches and
+        # settles between the follower's cache miss and its admission
+        with ReorderService(ServiceConfig(n_workers=1)) as svc:
+            leader = svc.submit(small_grid)
+            gated.wait_entered()
+            real_get = svc.cache.get
+
+            def miss_then_settle(key):
+                hit = real_get(key)
+                gated.release()
+                leader.result(timeout=10)
+                deadline = time.monotonic() + 10
+                while svc.pending and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                return hit
+
+            svc.cache.get = miss_then_settle
+            follower = svc.submit(small_grid)
+            del svc.cache.get
+            assert (
+                follower.result(timeout=10).permutation.tobytes()
+                == leader.result().permutation.tobytes()
+            )
+        assert len(gated.calls) == 1
+        assert svc.counters["computed"] == 1
+
+
+class TestAsyncReorderService:
+    def test_reorder_matches_sync_cold_and_warm(self, medium_grid):
+        ref = reorder(medium_grid, method="serial")
+
+        async def run():
+            async with AsyncReorderService() as svc:
+                cold = await svc.reorder(medium_grid, method="serial")
+                warm = await svc.reorder(medium_grid, method="serial")
+                assert svc.pending == 0
+                return cold, warm
+
+        cold, warm = asyncio.run(run())
+        assert cold.permutation.tobytes() == ref.permutation.tobytes()
+        assert warm.permutation.tobytes() == ref.permutation.tobytes()
+
+    def test_reorder_many_gathers_in_order(self):
+        mats = [random_symmetric(40, 0.1, seed=20 + i) for i in range(6)]
+        expect = [reorder(m).permutation.tobytes() for m in mats]
+
+        async def run():
+            async with AsyncReorderService() as svc:
+                got = await svc.reorder_many(mats)
+                return [r.permutation.tobytes() for r in got]
+
+        assert asyncio.run(run()) == expect
+
+    def test_timeout_raises_service_timeout(self, gated, small_grid):
+        svc = ReorderService(ServiceConfig(n_workers=1))
+
+        async def run():
+            front = AsyncReorderService(service=svc)
+            with pytest.raises(ServiceTimeoutError):
+                await front.reorder(small_grid, timeout=0.2)
+            await front.aclose()  # not owned: must leave svc open
+            assert not svc._closed
+
+        try:
+            asyncio.run(run())
+        finally:
+            gated.release()
+            svc.close()
+
+    def test_config_and_service_are_exclusive(self):
+        svc = ReorderService()
+        try:
+            with pytest.raises(ValueError):
+                AsyncReorderService(ServiceConfig(), service=svc)
+        finally:
+            svc.close()
+
+
+class TestCacheCli:
+    @pytest.fixture
+    def populated(self, tmp_path):
+        """A disk tier holding four entries; returns (dir, digests)."""
+        mats = [random_symmetric(40, 0.1, seed=300 + i) for i in range(4)]
+        with ReorderService(ServiceConfig(disk_dir=tmp_path)) as svc:
+            for m in mats:
+                svc.reorder(m)
+        return tmp_path, {cache_key(m).digest for m in mats}
+
+    def test_listing(self, populated, capsys):
+        root, digests = populated
+        assert cli_main(["cache", str(root)]) == 0
+        assert f"{len(digests)} entries in {root}" in capsys.readouterr().out
+        assert cli_main(["cache", str(root), "--json"]) == 0
+        entries = json.loads(capsys.readouterr().out)
+        assert {e["digest"] for e in entries} == digests
+
+    def test_invalidate_by_prefix(self, populated, capsys):
+        root, digests = populated
+        digest = sorted(digests)[0]
+        assert cli_main(["cache", str(root), "--invalidate", digest[:12]]) == 0
+        assert f"removed {digest}" in capsys.readouterr().out
+        assert not (root / f"{digest}.npz").exists()
+        assert cli_main(["cache", str(root), "--invalidate", digest]) == 1
+
+    def test_invalidate_ambiguous_prefix_fails(self, populated, capsys):
+        root, _digests = populated
+        (root / "ffff00.npz").touch()
+        (root / "ffff11.npz").touch()
+        assert cli_main(["cache", str(root), "--invalidate", "ffff"]) == 1
+        assert "ambiguous" in capsys.readouterr().err
+
+    def test_clear(self, populated, capsys):
+        root, digests = populated
+        assert cli_main(["cache", str(root), "--clear"]) == 0
+        assert f"cleared {len(digests)} entries" in capsys.readouterr().out
+        assert not list(root.glob("*.npz"))

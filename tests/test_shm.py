@@ -40,8 +40,10 @@ needs_fork = pytest.mark.skipif(
 @pytest.fixture(autouse=True)
 def _clean_telemetry():
     telemetry.reset()
+    telemetry.disable()
     yield
     telemetry.reset()
+    telemetry.disable()
 
 
 def _workload(count: int = 6, size: int = 14) -> list:
